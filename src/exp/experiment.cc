@@ -1,6 +1,8 @@
 #include "exp/experiment.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -22,6 +24,36 @@ trim(const std::string &s)
         return "";
     std::size_t last = s.find_last_not_of(" \t\r\n");
     return s.substr(first, last - first + 1);
+}
+
+/** Whole-string decimal seed of spec line @p line_no. strtoull alone
+ *  reads "abc" as 0 and wraps "-1" to 2^64-1, so only digits pass. */
+std::uint64_t
+parseSeed(const std::string &text, int line_no)
+{
+    errno = 0;
+    const unsigned long long n = std::strtoull(text.c_str(), nullptr, 10);
+    if (text.empty() || text.find_first_not_of("0123456789")
+                            != std::string::npos || errno == ERANGE)
+        fuse_fatal("spec line %d: seed expects a non-negative integer, "
+                   "got '%s'", line_no, text.c_str());
+    return n;
+}
+
+/** Whole-string finite number for override @p key on spec line
+ *  @p line_no: "0.5x" or an empty value is fatal, not 0.5 or 0.0. */
+double
+parseOverrideValue(const std::string &key, const std::string &text,
+                   int line_no)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || errno == ERANGE
+        || !std::isfinite(v))
+        fuse_fatal("spec line %d: %s expects a number, got '%s'", line_no,
+                   key.c_str(), text.c_str());
+    return v;
 }
 
 /** Table of assignable SimConfig fields, keyed by dotted path. */
@@ -278,7 +310,7 @@ ExperimentSpec::parse(const std::string &text)
         } else if (key == "base") {
             spec.base = value;
         } else if (key == "seed") {
-            spec.seed = std::strtoull(value.c_str(), nullptr, 10);
+            spec.seed = parseSeed(value, line_no);
         } else if (key == "benchmarks") {
             for (const auto &word : splitList(value))
                 for (const auto &name : resolveBenchmarks(word))
@@ -304,8 +336,8 @@ ExperimentSpec::parse(const std::string &text)
                                line_no, assign.c_str());
                 ConfigOverride o;
                 o.key = trim(assign.substr(0, eq));
-                o.value = std::strtod(assign.substr(eq + 1).c_str(),
-                                      nullptr);
+                o.value = parseOverrideValue(
+                    o.key, trim(assign.substr(eq + 1)), line_no);
                 variant.overrides.push_back(std::move(o));
             }
             if (variant.label.empty())

@@ -90,11 +90,8 @@ SweepRunner::run(const ExperimentSpec &spec, std::size_t shard_index,
     // workers then only read them.
     std::vector<SimConfig> configs;
     configs.reserve(spec.variantCount());
-    for (std::size_t v = 0; v < spec.variantCount(); ++v) {
+    for (std::size_t v = 0; v < spec.variantCount(); ++v)
         configs.push_back(spec.configFor(v));
-        if (runThreads_ > 0)
-            configs.back().gpu.runThreads = runThreads_;
-    }
 
     // This shard's slice of the flat grid (everything when unsharded).
     std::vector<std::size_t> cells;

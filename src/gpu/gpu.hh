@@ -30,10 +30,6 @@ struct GpuConfig
     /** Hard safety cap on simulated cycles. */
     Cycle maxCycles = 80'000'000;
     std::uint64_t traceSeed = 1;
-    /** Worker threads ticking SMs inside one run. 1 selects the serial
-     *  reference engine; >= 2 selects the parallel engine, which is
-     *  byte-identical to serial at every thread count (see Gpu::run). */
-    std::uint32_t runThreads = 1;
 
     NocConfig noc;
     L2Config l2;
@@ -48,11 +44,9 @@ class Gpu
         const BenchmarkSpec &benchmark);
 
     /**
-     * Run to completion; returns total cycles elapsed. Dispatches on
-     * config.runThreads: 1 runs the serial next-event clock (the
-     * differential reference model), >= 2 runs the parallel engine —
-     * same clock, same stats, byte-identical outputs, with SMs ticked
-     * concurrently between shared-hierarchy admissions.
+     * Run to completion on the next-event clock; returns total cycles
+     * elapsed (GpuConfig::maxCycles if the safety cap is hit, 1 when
+     * every SM is done at cycle 0).
      */
     Cycle run();
 
@@ -77,13 +71,6 @@ class Gpu
     double sumSmStat(const std::string &name) const;
 
   private:
-    /** The serial next-event clock (PR 4) — the reference model. */
-    Cycle runSerial();
-    /** The parallel engine: @p workers threads tick disjoint SM subsets,
-     *  ordered through an OrderGate so every hierarchy interaction
-     *  happens in the serial (cycle, smId) order. */
-    Cycle runParallel(std::uint32_t workers);
-
     GpuConfig config_;
     std::unique_ptr<MemoryHierarchy> hierarchy_;
     std::vector<std::unique_ptr<Sm>> sms_;

@@ -1,6 +1,6 @@
 #include "serve/campaign.hh"
 
-#include <atomic>
+#include <exception>
 #include <sstream>
 #include <utility>
 
@@ -106,71 +106,85 @@ CampaignService::serve(const ExperimentSpec &spec)
 
     const std::size_t kinds = spec.kinds.size();
     const std::size_t variants = spec.variantCount();
-    std::atomic<std::uint64_t> simulated{0};
+    struct Point
     {
-        WorkQueue queue(options_.workers, options_.queueCapacity,
-                        options_.maxAttempts);
-        for (std::size_t i = 0; i < cached.size(); ++i) {
-            const std::size_t k = i % kinds;
-            const std::size_t v = (i / kinds) % variants;
-            const std::size_t b = i / (kinds * variants);
-            ++stats_.points;
+        std::size_t i, b, v, k;
+        std::string key;
+    };
 
-            const std::string key = cacheKey(spec, b, v, k);
-            RunResult record;
-            if (store_.get(key, record)) {
-                // A key collision or a store pointed at the wrong tree
-                // would serve the wrong simulation; refuse loudly.
-                if (record.benchmark != spec.benchmarks[b]
-                    || record.kind != spec.kinds[k])
-                    fuse_fatal("store record %s holds (%s, %s), campaign "
-                               "point is (%s, %s)", key.c_str(),
-                               record.benchmark.c_str(),
-                               toString(record.kind),
-                               spec.benchmarks[b].c_str(),
-                               toString(spec.kinds[k]));
-                RunResult &cell = cached.at(i);
-                cell = record;
-                cell.variant = v;
-                cell.variantLabel = labels[v];
-                ++stats_.hits;
-                continue;
-            }
-            ++stats_.misses;
+    // Serve every point the store holds; collect the cold ones.
+    std::vector<Point> cold;
+    for (std::size_t i = 0; i < cached.size(); ++i) {
+        const std::size_t k = i % kinds;
+        const std::size_t v = (i / kinds) % variants;
+        const std::size_t b = i / (kinds * variants);
+        ++stats_.points;
 
-            std::string label = spec.benchmarks[b];
-            label += '/';
-            label += toString(spec.kinds[k]);
-            if (!labels[v].empty()) {
-                label += '/';
-                label += labels[v];
-            }
-            // Workers write disjoint cells of `fresh`, so the only
-            // shared task state is the atomic counter and the store
-            // (whose puts are rename-atomic).
-            queue.submit(label, [this, &spec, &fresh, &labels, &simulated,
-                                 b, v, k, i, key]() {
-                RunResult run;
-                run.benchmark = spec.benchmarks[b];
-                run.kind = spec.kinds[k];
-                run.variant = v;
-                run.variantLabel = labels[v];
-                run.metrics = runPoint_(spec, b, v, k);
-                run.valid = true;
-                store_.put(key, run,
-                           keyedPointText(spec, b, v, k, fingerprint_));
-                fresh.at(i) = std::move(run);
-                ++simulated;
-            });
+        std::string key = cacheKey(spec, b, v, k);
+        RunResult record;
+        if (store_.get(key, record)) {
+            // A key collision or a store pointed at the wrong tree
+            // would serve the wrong simulation; refuse loudly.
+            if (record.benchmark != spec.benchmarks[b]
+                || record.kind != spec.kinds[k])
+                fuse_fatal("store record %s holds (%s, %s), campaign "
+                           "point is (%s, %s)", key.c_str(),
+                           record.benchmark.c_str(),
+                           toString(record.kind),
+                           spec.benchmarks[b].c_str(),
+                           toString(spec.kinds[k]));
+            RunResult &cell = cached.at(i);
+            cell = record;
+            cell.variant = v;
+            cell.variantLabel = labels[v];
+            ++stats_.hits;
+            continue;
         }
-        queue.drain();
-        stats_.retries += queue.retries();
-        for (auto &failure : queue.failures()) {
-            ++stats_.failures;
-            failures_.push_back(failure);
-        }
+        ++stats_.misses;
+        cold.push_back(Point{i, b, v, k, std::move(key)});
     }
-    stats_.simulations += simulated.load();
+
+    // Simulate each cold point once. Workers write disjoint cells of
+    // `fresh` and disjoint error slots, and the store's puts are
+    // rename-atomic, so nothing here needs a lock.
+    std::vector<std::string> errors(cold.size());
+    parallelFor(cold.size(), options_.workers, [&](std::size_t c) {
+        const Point &p = cold[c];
+        try {
+            RunResult run;
+            run.benchmark = spec.benchmarks[p.b];
+            run.kind = spec.kinds[p.k];
+            run.variant = p.v;
+            run.variantLabel = labels[p.v];
+            run.metrics = runPoint_(spec, p.b, p.v, p.k);
+            run.valid = true;
+            store_.put(p.key, run,
+                       keyedPointText(spec, p.b, p.v, p.k, fingerprint_));
+            fresh.at(p.i) = std::move(run);
+        } catch (const std::exception &e) {
+            errors[c] = e.what();
+        } catch (...) {
+            errors[c] = "unknown exception";
+        }
+    });
+
+    // Cells a throw left invalid go to the ledger, in grid order.
+    for (std::size_t c = 0; c < cold.size(); ++c) {
+        const Point &p = cold[c];
+        if (fresh.at(p.i).valid) {
+            ++stats_.simulations;
+            continue;
+        }
+        std::string label = spec.benchmarks[p.b];
+        label += '/';
+        label += toString(spec.kinds[p.k]);
+        if (!labels[p.v].empty()) {
+            label += '/';
+            label += labels[p.v];
+        }
+        ++stats_.failures;
+        failures_.push_back(Failure{std::move(label), std::move(errors[c])});
+    }
 
     // Overlap-fatal merge doubles as the disjointness proof: a point
     // served from cache AND simulated would abort here.

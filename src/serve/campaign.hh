@@ -2,8 +2,8 @@
  * @file
  * CampaignService: expands an ExperimentSpec's (benchmark x variant x
  * kind) grid into run points, serves every point it has already
- * simulated from the ResultStore, and pushes only the cold points
- * through a retrying WorkQueue of SweepRunner workers. The assembled
+ * simulated from the ResultStore, and simulates only the cold points,
+ * once each, across parallelFor workers. The assembled
  * campaign is byte-identical to a fresh fuse_sweep of the same spec:
  * cached cells round-trip the exporters' %.17g format exactly, and the
  * cached and fresh pieces are stitched with the overlap-fatal
@@ -30,7 +30,6 @@
 #include "exp/experiment.hh"
 #include "exp/result_set.hh"
 #include "serve/result_store.hh"
-#include "serve/work_queue.hh"
 
 namespace fuse
 {
@@ -52,16 +51,17 @@ struct ServeStats
     std::uint64_t hits = 0;         ///< Served from the store.
     std::uint64_t misses = 0;       ///< Not in the store at submit time.
     std::uint64_t simulations = 0;  ///< Cold points actually simulated.
-    std::uint64_t retries = 0;      ///< Task re-runs after a failure.
-    std::uint64_t failures = 0;     ///< Points that exhausted attempts.
+    /** Always 0: a cold point runs exactly once, since a deterministic
+     *  point that throws would throw again. Kept because the committed
+     *  serve_baseline and perfbench's serve records read it. */
+    std::uint64_t retries = 0;
+    std::uint64_t failures = 0;     ///< Cold points whose run threw.
 };
 
 struct ServeOptions
 {
     std::string storeDir;           ///< Required: ResultStore root.
-    unsigned workers = 1;           ///< WorkQueue worker threads.
-    std::size_t queueCapacity = 64; ///< WorkQueue backpressure bound.
-    unsigned maxAttempts = 3;       ///< Runs per point before failing.
+    unsigned workers = 1;           ///< Cold-point simulation threads.
     /** Non-zero skips the probe sweep and uses this fingerprint —
      *  tests pin it so store layouts stay deterministic. */
     std::uint64_t fingerprint = 0;
@@ -70,13 +70,20 @@ struct ServeOptions
 class CampaignService
 {
   public:
+    /** A cold point whose run threw; its cell stays invalid. */
+    struct Failure
+    {
+        std::string label;   ///< "benchmark/kind[/variant]".
+        std::string error;   ///< what() of the exception.
+    };
+
     explicit CampaignService(const ServeOptions &options);
 
     /**
      * Test seam: simulate one grid point of @p spec and return its
      * metrics. The default runs a single-threaded SweepRunner on the
-     * point's one-cell subspec; tests inject flaky or failing runners
-     * to exercise the retry path without touching the simulator.
+     * point's one-cell subspec; tests inject failing runners to
+     * exercise the failure ledger without touching the simulator.
      */
     using PointRunner = std::function<Metrics(
         const ExperimentSpec &spec, std::size_t b, std::size_t v,
@@ -85,8 +92,9 @@ class CampaignService
 
     /**
      * Serve @p spec's full grid: store hits become cached cells, misses
-     * are simulated (and stored) through the work queue. Cells whose
-     * point exhausted its attempts stay invalid — check failures().
+     * are simulated (and stored) across options.workers threads. A miss
+     * whose run throws is appended to failures() in grid order and its
+     * cell stays invalid.
      */
     ResultSet serve(const ExperimentSpec &spec);
 
@@ -95,10 +103,7 @@ class CampaignService
                          std::size_t v, std::size_t k) const;
 
     const ServeStats &stats() const { return stats_; }
-    const std::vector<WorkQueue::Failure> &failures() const
-    {
-        return failures_;
-    }
+    const std::vector<Failure> &failures() const { return failures_; }
     ResultStore &store() { return store_; }
     std::uint64_t fingerprint() const { return fingerprint_; }
 
@@ -108,7 +113,7 @@ class CampaignService
     ResultStore store_;
     PointRunner runPoint_;
     ServeStats stats_;
-    std::vector<WorkQueue::Failure> failures_;
+    std::vector<Failure> failures_;
 };
 
 } // namespace fuse

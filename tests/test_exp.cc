@@ -194,6 +194,24 @@ TEST(ExperimentSpec, RejectsMalformedLine)
 {
     EXPECT_EXIT({ ExperimentSpec::parse("just some words\n"); },
                 ::testing::ExitedWithCode(1), "expected 'key: value'");
+    // Numbers parse whole-string: garbage, signs and trailing junk are
+    // fatal (naming the line) instead of silently becoming 0, 2^64-1,
+    // or a truncated prefix.
+    for (const char *seed : {"abc", "-1", "12x", "", "1.5",
+                             "99999999999999999999"})
+        EXPECT_EXIT(
+            { ExperimentSpec::parse(std::string("name: x\nseed: ") + seed
+                                    + "\n"); },
+            ::testing::ExitedWithCode(1),
+            "spec line 2: seed expects a non-negative integer");
+    for (const char *value : {"0.5x", "", "abc", "nan", "inf", "1e999"})
+        EXPECT_EXIT(
+            { ExperimentSpec::parse(
+                  std::string("benchmarks: ATAX\nkinds: Dy-FUSE\n"
+                              "variant: v | l1d.sramAreaFraction=")
+                  + value + "\n"); },
+            ::testing::ExitedWithCode(1),
+            "spec line 3: l1d.sramAreaFraction expects a number");
 }
 
 TEST(L1DKindNames, RoundTrip)

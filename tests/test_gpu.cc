@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the GPU model: coalescer, warp scheduler, SM issue/stall
- * behaviour, and the top-level Gpu tick loop.
+ * behaviour, and the top-level Gpu next-event clock, including its
+ * safety-cap and all-done-at-cycle-0 edges.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "gpu/gpu.hh"
 #include "gpu/scheduler.hh"
 #include "sim/sim_config.hh"
+#include "sim/simulator.hh"
 
 namespace fuse
 {
@@ -248,6 +250,29 @@ TEST(Gpu, MemoryBoundWorkloadWaitsOnMemory)
     const double waits = gpu.sumSmStat("mem_wait_cycles")
                          + gpu.sumSmStat("l1d_stall_cycles");
     EXPECT_GT(waits, 0.0);
+}
+
+TEST(Gpu, MaxCyclesCapStopsTheClockAtTheCap)
+{
+    // A budget no SM can retire under the cap: the clock must stop at
+    // exactly maxCycles.
+    SimConfig config = SimConfig::testScale();
+    config.gpu.maxCycles = 5000;
+    const Metrics m = Simulator(config).run("PVC", L1DKind::DyFuse);
+    EXPECT_EQ(m.cycles, 5000u);
+    EXPECT_LT(m.instructions, config.gpu.instructionBudgetPerSm
+                                  * config.gpu.numSms);
+}
+
+TEST(Gpu, ZeroBudgetIsDoneAfterOneCycle)
+{
+    // Every SM is done before cycle 0: the clock still ticks each SM
+    // once at cycle 0 and reports one elapsed cycle.
+    SimConfig config = SimConfig::testScale();
+    config.gpu.instructionBudgetPerSm = 0;
+    const Metrics m = Simulator(config).run("ATAX", L1DKind::DyFuse);
+    EXPECT_EQ(m.cycles, 1u);
+    EXPECT_EQ(m.instructions, 0u);
 }
 
 } // namespace

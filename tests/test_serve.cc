@@ -2,10 +2,10 @@
  * @file
  * Tests for the campaign service stack: canonical point serialization
  * and its committed content-hash goldens, the shared strict count
- * parser, the content-addressed ResultStore, the retrying WorkQueue,
- * and CampaignService end to end — cold/warm cache behaviour, byte-
- * identical cached-vs-fresh exports, retry and failure-ledger paths,
- * and fingerprint-keyed cache invalidation.
+ * parser, the content-addressed ResultStore, and CampaignService end to
+ * end — cold/warm cache behaviour, byte-identical cached-vs-fresh
+ * exports, the failure ledger, and fingerprint-keyed cache
+ * invalidation.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +13,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <mutex>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "common/bitops.hh"
 #include "common/cli.hh"
@@ -25,7 +25,6 @@
 #include "exp/sweep_runner.hh"
 #include "serve/campaign.hh"
 #include "serve/result_store.hh"
-#include "serve/work_queue.hh"
 
 namespace fuse
 {
@@ -116,19 +115,6 @@ TEST(Canonical, ConfigTextIsDeterministic)
     const SimConfig config = SimConfig::testScale();
     EXPECT_EQ(canonicalConfig(config), canonicalConfig(config));
     EXPECT_NE(canonicalConfig(config).find("gpu.numSms = 4"),
-              std::string::npos);
-}
-
-TEST(Canonical, RunThreadsDoesNotSplitTheCache)
-{
-    // Results are byte-identical at every run-thread count (PR 8), so
-    // the canonical text must not mention it.
-    SimConfig serial = SimConfig::testScale();
-    SimConfig parallel = SimConfig::testScale();
-    serial.gpu.runThreads = 1;
-    parallel.gpu.runThreads = 8;
-    EXPECT_EQ(canonicalConfig(serial), canonicalConfig(parallel));
-    EXPECT_EQ(canonicalConfig(serial).find("runThreads"),
               std::string::npos);
 }
 
@@ -305,68 +291,6 @@ TEST(ResultStoreDeathTest, CorruptRecordIsFatalNotAMiss)
                 ::testing::ExitedWithCode(1), "not a fuse_serve/v1");
 }
 
-// ----------------------------------------------------- WorkQueue
-
-TEST(WorkQueue, RunsEverySubmittedTask)
-{
-    std::mutex mutex;
-    int ran = 0;
-    {
-        WorkQueue queue(2, 4, 1);
-        for (int i = 0; i < 16; ++i)
-            queue.submit("task", [&]() {
-                std::lock_guard<std::mutex> lock(mutex);
-                ++ran;
-            });
-        queue.drain();
-        EXPECT_EQ(ran, 16);
-        EXPECT_EQ(queue.retries(), 0u);
-        EXPECT_TRUE(queue.failures().empty());
-    }
-}
-
-TEST(WorkQueue, FlakyTaskSucceedsOnRetry)
-{
-    std::mutex mutex;
-    int attempts = 0;
-    WorkQueue queue(1, 4, 3);
-    queue.submit("flaky", [&]() {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (++attempts < 2)
-            throw std::runtime_error("transient");
-    });
-    queue.drain();
-    EXPECT_EQ(attempts, 2);
-    EXPECT_EQ(queue.retries(), 1u);
-    EXPECT_TRUE(queue.failures().empty());
-}
-
-TEST(WorkQueue, ExhaustedAttemptsLandInTheLedger)
-{
-    WorkQueue queue(2, 4, 3);
-    queue.submit("doomed", []() {
-        throw std::runtime_error("permanent damage");
-    });
-    queue.submit("fine", []() {});
-    queue.drain();
-    EXPECT_EQ(queue.retries(), 2u);   // Attempts 2 and 3.
-    const auto failures = queue.failures();
-    ASSERT_EQ(failures.size(), 1u);
-    EXPECT_EQ(failures[0].label, "doomed");
-    EXPECT_EQ(failures[0].attempts, 3u);
-    EXPECT_EQ(failures[0].error, "permanent damage");
-}
-
-TEST(WorkQueueDeathTest, RejectsZeroSizedPools)
-{
-    EXPECT_EXIT({ WorkQueue queue(0, 4, 3); },
-                ::testing::ExitedWithCode(1), "WorkQueue wants");
-    EXPECT_EXIT({ WorkQueue queue(1, 0, 3); },
-                ::testing::ExitedWithCode(1), "WorkQueue wants");
-    EXPECT_EXIT({ WorkQueue queue(1, 4, 0); },
-                ::testing::ExitedWithCode(1), "WorkQueue wants");
-}
-
 // ----------------------------------------------------- CampaignService
 
 /** Service over a synthetic point runner: fast, deterministic, and
@@ -377,8 +301,6 @@ pinnedOptions(const std::string &store_dir, std::uint64_t fingerprint = 42)
     ServeOptions options;
     options.storeDir = store_dir;
     options.workers = 2;
-    options.queueCapacity = 4;
-    options.maxAttempts = 3;
     options.fingerprint = fingerprint;
     return options;
 }
@@ -501,93 +423,84 @@ TEST(Campaign, FingerprintChangeGoesColdWithoutCrossServing)
     EXPECT_EQ(new_build.store().size(), 8u);
 }
 
-TEST(Campaign, FlakyPointsRetryToSuccess)
+TEST(Campaign, ThrowingPointsLandInTheLedgerAndStayInvalid)
 {
     TempDir tmp;
     const ExperimentSpec spec = goldenSpec();
-    CampaignService service(pinnedOptions(tmp.path + "/store"));
-    std::mutex mutex;
-    std::map<std::string, int> attempts;
-    service.setPointRunner([&](const ExperimentSpec &s, std::size_t b,
-                               std::size_t v, std::size_t k) {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            const std::string key = s.benchmarks[b] + "/"
-                                    + std::to_string(v) + "/"
-                                    + std::to_string(k);
-            if (++attempts[key] == 1)
-                throw std::runtime_error("first attempt always fails");
+    ServeOptions options = pinnedOptions(tmp.path + "/store");
+    options.workers = 4;
+    CampaignService service(options);
+    service.setPointRunner([](const ExperimentSpec &s, std::size_t b,
+                              std::size_t v, std::size_t k) -> Metrics {
+        // Grid points 1 and 2 throw. The earlier one throws last, so
+        // the ledger's grid order cannot come from completion order.
+        if (b == 0 && k == 1) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            throw std::runtime_error("ATAX is cursed");
         }
+        if (b == 1 && k == 0)
+            throw std::runtime_error("BICG is cursed");
         return syntheticRunner()(s, b, v, k);
     });
 
     const ResultSet results = service.serve(spec);
-    EXPECT_EQ(service.stats().simulations, 4u);
-    EXPECT_EQ(service.stats().retries, 4u);
-    EXPECT_EQ(service.stats().failures, 0u);
-    for (const auto &run : results.runs())
-        EXPECT_TRUE(run.valid);
-}
+    EXPECT_EQ(service.stats().failures, 2u);
+    EXPECT_EQ(service.stats().simulations, 2u);
+    EXPECT_EQ(service.stats().retries, 0u);
+    ASSERT_EQ(service.failures().size(), 2u);
+    EXPECT_EQ(service.failures()[0].label, "ATAX/Dy-FUSE/probe");
+    EXPECT_EQ(service.failures()[0].error, "ATAX is cursed");
+    EXPECT_EQ(service.failures()[1].label, "BICG/L1-SRAM/probe");
+    EXPECT_EQ(service.failures()[1].error, "BICG is cursed");
 
-TEST(Campaign, ExhaustedPointsLandInTheLedgerAndStayInvalid)
-{
-    TempDir tmp;
-    ExperimentSpec spec = goldenSpec();
-    CampaignService service(pinnedOptions(tmp.path + "/store"));
-    service.setPointRunner([](const ExperimentSpec &s, std::size_t b,
-                              std::size_t, std::size_t k) -> Metrics {
-        if (s.benchmarks[b] == "BICG" && k == 1)
-            throw std::runtime_error("this point is cursed");
-        return syntheticMetrics(1.0);
-    });
+    EXPECT_TRUE(results.at(0).valid);
+    EXPECT_FALSE(results.at(1).valid);
+    EXPECT_FALSE(results.at(2).valid);
+    EXPECT_TRUE(results.at(3).valid);
+    RunResult stored;
+    EXPECT_FALSE(service.store().get(service.cacheKey(spec, 0, 0, 1),
+                                     stored));
+    EXPECT_FALSE(service.store().get(service.cacheKey(spec, 1, 0, 0),
+                                     stored));
+    EXPECT_EQ(service.store().size(), 2u);
 
-    const ResultSet results = service.serve(spec);
-    EXPECT_EQ(service.stats().failures, 1u);
-    EXPECT_EQ(service.stats().simulations, 3u);
-    EXPECT_EQ(service.stats().retries, 2u);
-    ASSERT_EQ(service.failures().size(), 1u);
-    EXPECT_EQ(service.failures()[0].label, "BICG/Dy-FUSE/probe");
-    EXPECT_EQ(service.failures()[0].attempts, 3u);
-    EXPECT_EQ(service.failures()[0].error, "this point is cursed");
-
-    std::size_t valid = 0;
-    for (const auto &run : results.runs())
-        valid += run.valid;
-    EXPECT_EQ(valid, 3u);
-    // The failed point was never stored, so a retry submission (with a
-    // healthy runner this time) only re-simulates the one hole.
-    CampaignService repaired(pinnedOptions(tmp.path + "/store"));
+    // The failed points were never stored, so a resubmission with a
+    // healthy runner re-simulates only the two holes.
+    CampaignService repaired(options);
     repaired.setPointRunner(syntheticRunner());
     repaired.serve(spec);
-    EXPECT_EQ(repaired.stats().hits, 3u);
-    EXPECT_EQ(repaired.stats().simulations, 1u);
+    EXPECT_EQ(repaired.stats().hits, 2u);
+    EXPECT_EQ(repaired.stats().simulations, 2u);
+    EXPECT_TRUE(repaired.failures().empty());
 }
 
 TEST(Campaign, ServedGridMatchesADirectSweepByteForByte)
 {
     // The real integration property behind the CI round trip: a served
     // campaign (real simulations, then real cache reads) exports the
-    // same bytes a plain SweepRunner sweep does. Tiny grid: test-scale
+    // same bytes a plain SweepRunner sweep does, with the cold points
+    // simulated serially or across worker threads. Tiny grid: test-scale
     // preset at a 2000-instruction budget.
-    TempDir tmp;
-    ExperimentSpec spec = goldenSpec();
-    spec.benchmarks = {"ATAX"};
-
+    const ExperimentSpec spec = goldenSpec();
     SweepRunner runner(1);
     std::ostringstream direct;
     writeJson(direct, runner.run(spec));
 
-    ServeOptions options = pinnedOptions(tmp.path + "/store");
-    options.workers = 1;
-    CampaignService service(options);
-    std::ostringstream cold, warm;
-    writeJson(cold, service.serve(spec));
-    writeJson(warm, service.serve(spec));
-    EXPECT_EQ(service.stats().hits, 2u);
-    EXPECT_EQ(service.stats().simulations, 2u);
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        TempDir tmp;
+        ServeOptions options = pinnedOptions(tmp.path + "/store");
+        options.workers = workers;
+        CampaignService service(options);
+        std::ostringstream cold, warm;
+        writeJson(cold, service.serve(spec));
+        writeJson(warm, service.serve(spec));
+        EXPECT_EQ(service.stats().hits, 4u);
+        EXPECT_EQ(service.stats().simulations, 4u);
 
-    EXPECT_EQ(cold.str(), direct.str());
-    EXPECT_EQ(warm.str(), direct.str());
+        EXPECT_EQ(cold.str(), direct.str());
+        EXPECT_EQ(warm.str(), direct.str());
+    }
 }
 
 TEST(Campaign, BinaryFingerprintIsStable)

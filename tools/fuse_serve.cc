@@ -1,8 +1,8 @@
 /**
  * @file
  * fuse_serve: the campaign service CLI. Wraps CampaignService (a
- * content-addressed result cache over a retrying work queue) in two
- * modes:
+ * content-addressed result cache over a pool of simulation workers) in
+ * two modes:
  *
  *   --once   process the submissions given on the command line, then
  *            exit — the mode CI drives, no sockets or daemons needed:
@@ -70,9 +70,7 @@ usage()
         "  --poll-ms N       watch poll interval (default 200)\n"
         "  --max-polls N     stop watching after N polls (0 = forever)\n"
         "  --workers N       simulation worker threads (default 1)\n"
-        "  --queue N         work queue capacity (default 64)\n"
-        "  --attempts N      runs per point before it fails (default 3)\n"
-        "  --stats-out FILE  write cache/queue counters as JSON\n"
+        "  --stats-out FILE  write cache counters as JSON\n"
         "  --expect-all-hits exit nonzero if any point missed the cache\n");
 }
 
@@ -161,15 +159,13 @@ processSubmission(fuse::CampaignService &service, const Submission &sub,
     const fuse::ServeStats &after = service.stats();
     std::fprintf(stderr,
                  "%s: %llu points, %llu hits, %llu simulated, "
-                 "%llu retries, %llu failed\n",
+                 "%llu failed\n",
                  spec.name.c_str(),
                  static_cast<unsigned long long>(after.points
                                                  - before.points),
                  static_cast<unsigned long long>(after.hits - before.hits),
                  static_cast<unsigned long long>(after.simulations
                                                  - before.simulations),
-                 static_cast<unsigned long long>(after.retries
-                                                 - before.retries),
                  static_cast<unsigned long long>(after.failures
                                                  - before.failures));
 
@@ -179,10 +175,9 @@ processSubmission(fuse::CampaignService &service, const Submission &sub,
         exportTo(sub.csvPath, results, fuse::writeCsv);
 
     if (after.failures > before.failures) {
-        error = "points failed after retries:";
+        error = "points failed:";
         for (const auto &f : service.failures())
-            error += "\n  " + f.label + " (" + std::to_string(f.attempts)
-                     + " attempts): " + f.error;
+            error += "\n  " + f.label + ": " + f.error;
         return false;
     }
     return true;
@@ -329,8 +324,6 @@ main(int argc, char **argv)
     std::vector<Submission> submissions;
     std::string stats_path;
     unsigned workers = 1;
-    unsigned queue_capacity = 64;
-    unsigned attempts = 3;
     unsigned poll_ms = 200;
     unsigned max_polls = 0;
     bool once = false;
@@ -371,10 +364,6 @@ main(int argc, char **argv)
             current().csvPath = value();
         } else if (arg == "--workers") {
             workers = fuse::parseCount("--workers", value().c_str());
-        } else if (arg == "--queue") {
-            queue_capacity = fuse::parseCount("--queue", value().c_str());
-        } else if (arg == "--attempts") {
-            attempts = fuse::parseCount("--attempts", value().c_str());
         } else if (arg == "--poll-ms") {
             poll_ms = fuse::parseCount("--poll-ms", value().c_str(), 1,
                                        60000);
@@ -408,8 +397,6 @@ main(int argc, char **argv)
     fuse::ServeOptions options;
     options.storeDir = store_dir;
     options.workers = workers;
-    options.queueCapacity = queue_capacity;
-    options.maxAttempts = attempts;
     fuse::CampaignService service(options);
 
     int rc = 0;
@@ -428,14 +415,12 @@ main(int argc, char **argv)
     const fuse::ServeStats &stats = service.stats();
     std::fprintf(stderr,
                  "serve totals: %llu campaigns, %llu points, %llu hits, "
-                 "%llu misses, %llu simulations, %llu retries, "
-                 "%llu failures\n",
+                 "%llu misses, %llu simulations, %llu failures\n",
                  static_cast<unsigned long long>(stats.campaigns),
                  static_cast<unsigned long long>(stats.points),
                  static_cast<unsigned long long>(stats.hits),
                  static_cast<unsigned long long>(stats.misses),
                  static_cast<unsigned long long>(stats.simulations),
-                 static_cast<unsigned long long>(stats.retries),
                  static_cast<unsigned long long>(stats.failures));
     if (!stats_path.empty())
         writeStats(stats_path, stats);

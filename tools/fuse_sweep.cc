@@ -53,10 +53,6 @@ usage()
         "  --kinds LIST      override the L1D kinds (spec mode)\n"
         "  --threads N       sweep worker threads, N >= 1 (default:\n"
         "                    FUSE_THREADS or all cores)\n"
-        "  --run-threads N   threads ticking SMs inside each simulation,\n"
-        "                    N >= 1; results are byte-identical at every\n"
-        "                    value (1 = the serial reference engine,\n"
-        "                    also the default)\n"
         "  --shard I/N       run only grid cells I (1-based) of N: fan a\n"
         "                    campaign across machines, export each shard,\n"
         "                    merge offline (cells are seeded from the\n"
@@ -261,7 +257,6 @@ main(int argc, char **argv)
     std::string csv_path;
     std::string profile_path;
     unsigned threads = 0;
-    unsigned run_threads = 0;
     std::size_t shard_index = 0;
     std::size_t shard_count = 1;
     bool quiet = false;
@@ -292,9 +287,6 @@ main(int argc, char **argv)
             kinds = value();
         } else if (arg == "--threads") {
             threads = fuse::parseThreadCount("--threads", value().c_str());
-        } else if (arg == "--run-threads") {
-            run_threads =
-                fuse::parseThreadCount("--run-threads", value().c_str());
         } else if (arg == "--shard") {
             const std::string text = value();
             char *end = nullptr;
@@ -416,7 +408,6 @@ main(int argc, char **argv)
     }
 
     fuse::SweepRunner runner(threads);
-    runner.setRunThreads(run_threads);
     if (spec.runCount() > 0) {
         if (shard_count > 1)
             std::fprintf(stderr, "%s: shard %zu/%zu of %zu runs on %u "
