@@ -51,7 +51,11 @@ struct L1DResult
     {
         Hit,      ///< Serviced on chip; data ready at readyAt.
         Miss,     ///< Sent off chip (or merged); data ready at readyAt.
-        Stall     ///< Structural hazard (MSHR full, bank busy): retry.
+        Stall,    ///< Structural hazard (MSHR full, bank busy): retry.
+        /** accessPrivate() only: serving the transaction would reach the
+         *  shared MemoryHierarchy. Nothing changed; present it again
+         *  through access() at the same cycle. */
+        Deferred
     };
     Kind kind = Kind::Stall;
     Cycle readyAt = 0;
@@ -88,6 +92,23 @@ class L1DCache
 
     /** Present one coalesced transaction at cycle @p now. */
     virtual L1DResult access(const MemRequest &req, Cycle now) = 0;
+
+    /**
+     * access(), restricted to outcomes private to this L1D: when serving
+     * the transaction needs nothing below the L1D it behaves exactly like
+     * access(); otherwise it returns Kind::Deferred with no observable
+     * state change (re-presenting the same transaction at the same cycle
+     * is then indistinguishable from a single access()). The SM uses
+     * this to run ahead of the shared clock, which must see every
+     * hierarchy access in (cycle, smId) order. Default: defer every
+     * transaction.
+     */
+    virtual L1DResult accessPrivate(const MemRequest &req, Cycle now)
+    {
+        (void)req;
+        (void)now;
+        return {L1DResult::Kind::Deferred, 0};
+    }
 
     /** Per-cycle housekeeping (tag-queue drain etc.). Default: none. */
     virtual void tick(Cycle now) { (void)now; }

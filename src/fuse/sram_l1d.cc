@@ -45,7 +45,23 @@ SramL1D::kind() const
 L1DResult
 SramL1D::access(const MemRequest &req, Cycle now)
 {
+    return accessImpl<false>(req, now);
+}
+
+L1DResult
+SramL1D::accessPrivate(const MemRequest &req, Cycle now)
+{
+    return accessImpl<true>(req, now);
+}
+
+template <bool kPrivate>
+L1DResult
+SramL1D::accessImpl(const MemRequest &req, Cycle now)
+{
     FUSE_PROF_COUNT(l1d_sram, accesses);
+    // Retiring the fills due by `now` is idempotent at a fixed cycle, so
+    // a Deferred private access that already retired them leaves the
+    // re-presented access() nothing observable to redo.
     mshr_.retireReady(now);
     const Addr line = req.line();
 
@@ -80,6 +96,8 @@ SramL1D::access(const MemRequest &req, Cycle now)
         return {L1DResult::Kind::Stall,
                 std::max(now + 1, mshr_.minReadyAt())};
     }
+    if constexpr (kPrivate)
+        return {L1DResult::Kind::Deferred, 0};
     countMiss(req);
     OffchipResult off = hierarchy_->access(req, now);
     // In-flight check + full() gate above prove a fresh allocation.

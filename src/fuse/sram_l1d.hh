@@ -34,12 +34,20 @@ class SramL1D : public L1DCache
     SramL1D(const SramL1DConfig &config, MemoryHierarchy &hierarchy);
 
     L1DResult access(const MemRequest &req, Cycle now) override;
+    /** Hits, MSHR merges and MSHR-full stalls are private; only a fresh
+     *  miss (off-chip request plus a possible dirty writeback) defers. */
+    L1DResult accessPrivate(const MemRequest &req, Cycle now) override;
     L1DKind kind() const override;
 
     CacheBank &bank() { return bank_; }
     Mshr &mshr() { return mshr_; }
 
   private:
+    /** The access pipeline; with kPrivate set it stops with Deferred
+     *  right before the first hierarchy call. */
+    template <bool kPrivate>
+    L1DResult accessImpl(const MemRequest &req, Cycle now);
+
     SramL1DConfig config_;
     CacheBank bank_;
     Mshr mshr_;

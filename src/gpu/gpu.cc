@@ -37,45 +37,44 @@ Cycle
 Gpu::run()
 {
     // Next-event clock. Instead of lock-step ticking every SM every
-    // cycle, each SM carries the next cycle it must observe: the next
-    // cycle outright while it is executing or its L1D has deferred work
-    // (tag-queue drains run per cycle), its wake-up bound while every
-    // warp sleeps, and never once it is done. The clock jumps straight
-    // to the earliest such event; the cycles an SM was skipped over are
-    // exactly the cycles its tick would have taken the all-warps-asleep
-    // path (one idle + one mem-wait increment, no other state change),
-    // so they are credited in bulk through skipIdle() just before its
-    // next real tick. Memory-bound phases spend most of their cycles
-    // asleep, which makes this the difference between simulating stalls
-    // and merely counting them — and unlike the old all-SMs-asleep
-    // fast-forward, one busy SM no longer forces per-cycle ticks on the
-    // fourteen sleeping ones.
+    // cycle, each SM carries the next cycle it must be visited at: the
+    // first cycle its last visit left unaccounted while it is executing
+    // or its L1D has deferred work (tag-queue drains run per cycle), its
+    // wake-up bound while every warp sleeps, and never once it is done.
+    // The clock jumps straight to the earliest such event and visits the
+    // SMs due there in index order. A visit may run the SM ahead of the
+    // clock through every following cycle whose outcome is private to it
+    // (compute issue, L1D hits, MSHR merges, MSHR-full stalls; see
+    // Sm::tick); it stops before the first cycle that would touch the
+    // shared memory hierarchy, which is left to a later visit. Every
+    // hierarchy access and writeback therefore still happens in (cycle,
+    // smId) order, exactly as under lock-step ticking. The cycles an SM
+    // was skipped over while asleep are exactly the cycles its tick would
+    // have taken the all-warps-asleep path (one idle + one mem-wait
+    // increment, no other state change), so they are credited in bulk
+    // through skipIdle() just before its next visit.
     FUSE_PROF_SCOPE(gpu, run);
     constexpr Cycle kNever = ~Cycle(0);
     cycles_ = 0;
     const std::size_t n = sms_.size();
     if (n == 0)
         return 0;
-    // next_tick[i]: first cycle SM i must be ticked at. accounted[i]:
-    // cycles below this are already reflected in SM i's stats (ticked,
-    // or credited through skipIdle).
+    // next_tick[i]: cycle SM i is next visited at. accounted[i]: cycles
+    // below this are already reflected in SM i's stats (simulated, or
+    // credited through skipIdle).
     std::vector<Cycle> next_tick(n, 0);
     std::vector<Cycle> accounted(n, 0);
-    auto next_tick_of = [&](const Sm &sm, Cycle now) -> Cycle {
-        if (!sm.l1d().tickIdle())
-            return now + 1;   // Deferred L1D work runs cycle by cycle.
-        if (sm.done())
-            return kNever;
-        return std::max(now + 1, sm.sleepUntil());
-    };
 
     std::size_t done_count = 0;
     for (const auto &sm : sms_)
         done_count += sm->done();
+    // Cycle on which the last SM retired its budget (0 when every SM
+    // starts done): the run ends once every event up to it is visited.
+    Cycle last_done = 0;
 
     Cycle now = 0;
     while (now < config_.maxCycles) {
-        // Tick the SMs due at `now` in index order, preserving the
+        // Visit the SMs due at `now` in index order, preserving the
         // shared memory hierarchy's arbitration order under lock-step
         // ticking.
         bool dense = false;
@@ -84,53 +83,56 @@ Gpu::run()
                 continue;
             Sm &sm = *sms_[i];
             const bool was_done = sm.done();
-            // The skipped cycles are exactly the ones whose tick would
-            // have taken the all-warps-asleep path (one idle + one
-            // mem-wait increment, no other state change): credit them in
-            // bulk.
             if (now > accounted[i] && !was_done)
                 sm.skipIdle(now - accounted[i]);
-            FUSE_PROF_COUNT(gpu, sm_ticks);
-            sm.tick(now);
-            accounted[i] = now + 1;
-            const Cycle next = next_tick_of(sm, now);
+            const Cycle end = sm.tick(now, config_.maxCycles);
+            accounted[i] = end;
+            Cycle next;
+            if (!sm.l1d().tickIdle())
+                next = end;   // Deferred L1D work runs cycle by cycle.
+            else if (sm.done())
+                next = kNever;
+            else
+                next = std::max(end, sm.sleepUntil());
             next_tick[i] = next;
             dense |= next == now + 1;
-            if (!was_done && sm.done())
+            if (!was_done && sm.done()) {
                 ++done_count;
+                last_done = std::max(last_done, end - 1);
+            }
         }
-        cycles_ = now + 1;
-        if (done_count == n)
-            break;
-        // Dense fast path: an SM that just executed is almost always due
-        // again next cycle, and no bound can be below now + 1 — skip the
-        // min reduction outright. The reduction runs only when the GPU
-        // actually goes quiet, where its cost is amortised over the
-        // whole skipped idle window.
-        if (dense) {
-            ++now;
-            continue;
+        // Dense fast path: an SM due again next cycle makes now + 1 the
+        // minimum outright (no bound can be below it) — skip the
+        // reduction, which runs only when the next event lies further
+        // out, where its cost is amortised over the skipped window.
+        Cycle next_now = now + 1;
+        if (!dense) {
+            next_now = next_tick[0];
+            for (std::size_t i = 1; i < n; ++i)
+                next_now = std::min(next_now, next_tick[i]);
         }
-        Cycle next_now = next_tick[0];
-        for (std::size_t i = 1; i < n; ++i)
-            next_now = std::min(next_now, next_tick[i]);
-        if (next_now == kNever)
+        // An SM that finished ahead of the clock still needs the other
+        // SMs' events up to its completion cycle (a done SM's tag-queue
+        // drain, say) visited before the run can end there.
+        if (done_count == n && next_now > last_done)
             break;
         now = next_now;
     }
 
-    if (now >= config_.maxCycles) {
-        // The next event lies past the safety cap: account the idle
-        // window up to the cap and stop there.
+    if (done_count == n) {
+        // (A zero cap with a zero budget simulates no cycle at all.)
+        cycles_ = std::min(last_done + 1, config_.maxCycles);
+    } else {
+        // The safety cap stopped the clock: account each unfinished SM's
+        // idle window up to the cap and stop there.
         for (std::size_t i = 0; i < n; ++i) {
             if (!sms_[i]->done() && config_.maxCycles > accounted[i])
                 sms_[i]->skipIdle(config_.maxCycles - accounted[i]);
         }
         cycles_ = config_.maxCycles;
-    }
-    if (cycles_ >= config_.maxCycles)
         fuse_warn("simulation hit the %llu-cycle safety cap",
                   static_cast<unsigned long long>(config_.maxCycles));
+    }
     // Warps holding a partially issued instruction still carry batched
     // transaction counts; drain them so stats are exact for every reader
     // downstream of run().

@@ -45,8 +45,9 @@ class Gpu
 
     /**
      * Run to completion on the next-event clock; returns total cycles
-     * elapsed (GpuConfig::maxCycles if the safety cap is hit, 1 when
-     * every SM is done at cycle 0).
+     * elapsed: the cycle on which the last SM retired its budget, plus
+     * one (1 when every SM is done at cycle 0), or GpuConfig::maxCycles
+     * when the safety cap stops an SM short of its budget.
      */
     Cycle run();
 

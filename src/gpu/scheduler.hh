@@ -7,11 +7,14 @@
  *
  * The scheduler is event-driven: the SM pushes wake events (onWake) as it
  * blocks/unblocks warps and pickReady() answers from a ready bitmap plus a
- * sleeping-warp min-heap in O(1) amortised, instead of re-scanning every
- * warp's ready time each cycle. Pick order is bit-exact with the historical
- * readiness scan (the scan survives as the reference model in
- * tests/test_scheduler_parity.cc). The whole hot path lives in this header
- * so the SM's per-cycle calls inline.
+ * pending-warp bitmap with a cached earliest wake, instead of re-scanning
+ * every warp's ready time each cycle. A pick costs O(1) until the clock
+ * reaches that earliest wake; one pass over the pending bitmap then
+ * promotes every due warp at once, so a storm of warps stalled to the same
+ * cycle costs one pass, not one queue operation per warp. Pick order is
+ * bit-exact with the historical readiness scan (the scan survives as the
+ * reference model in tests/test_scheduler_parity.cc). The whole hot path
+ * lives in this header so the SM's per-cycle calls inline.
  */
 
 #ifndef FUSE_GPU_SCHEDULER_HH
@@ -19,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -55,25 +57,36 @@ class WarpScheduler
     {
         FUSE_PROF_COUNT(scheduler, wakes);
         wakeAt_[warp] = at;
-        clearReady(warp);
-        if (stagedValid_)
-            heapPush(staged_);
-        staged_ = {at, warp};
-        stagedValid_ = true;
+        clearBit(readyBits_, warp);
+        if (staged_ != warp) {
+            clearBit(pendingBits_, warp);
+            if (staged_ != kNone) {
+                // A second wake before the staged one drained: the
+                // staged warp is genuinely sleeping, park it.
+                setBit(pendingBits_, staged_);
+                minPending_ = std::min(minPending_, stagedAt_);
+            }
+            staged_ = warp;
+        }
+        stagedAt_ = at;
     }
 
     /** Warp @p warp leaves the ready set with no known wake time. */
     void onSleep(std::uint32_t warp)
     {
-        // Any staged/heap record for the warp is now stale (value
-        // mismatch) and will be skipped when it surfaces.
+        // A stale cached minimum stays a valid lower bound: the next
+        // drain that reaches it finds nothing due and recomputes it.
         wakeAt_[warp] = kNever;
-        clearReady(warp);
+        clearBit(readyBits_, warp);
+        clearBit(pendingBits_, warp);
+        if (staged_ == warp)
+            staged_ = kNone;
     }
 
     /**
      * Choose the warp to issue at cycle @p now — the warp the historical
-     * per-cycle readiness scan would have picked, in O(1) amortised:
+     * per-cycle readiness scan would have picked, in O(1) except on the
+     * cycles a parked wake comes due (one pass over the pending bitmap):
      * round-robin walks a ready-bit ring from the last issued warp;
      * greedy-then-oldest prefers the last issued warp, then the oldest
      * (lowest-id) ready one. When no warp is ready, returns kNone and
@@ -124,66 +137,29 @@ class WarpScheduler
     static constexpr Cycle kNever = ~Cycle(0);
 
   private:
-    /** Sleeping-warp wake record; stale once the warp's wake time moved. */
-    struct Wake
-    {
-        Cycle at;
-        std::uint32_t warp;
-    };
-
-    /** Heap records are (at << warpBits_) | warp packed into one word:
-     *  a heap sift is then a plain integer compare-and-move. Wake times
-     *  are bounded by the GPU's cycle cap, far below the 2^(64-warpBits)
-     *  packing limit. */
-    std::uint64_t pack(const Wake &wake) const
-    {
-        return (wake.at << warpBits_) | wake.warp;
-    }
-    Wake unpack(std::uint64_t rec) const
-    {
-        return {rec >> warpBits_,
-                static_cast<std::uint32_t>(rec & ((1u << warpBits_) - 1))};
-    }
-
-    /** Push a wake record onto the sleeping-warp min-heap. */
-    void
-    heapPush(const Wake &wake)
-    {
-        heap_.push_back(pack(wake));
-        std::push_heap(heap_.begin(), heap_.end(),
-                       std::greater<std::uint64_t>());
-    }
-
     /** Promote every warp whose wake time has arrived into the ready
      *  set. The dominant wake is "can issue again next cycle", staged
-     *  outside the heap and consumed here by the very next pick, so it
-     *  costs no heap traffic; a wake is spilled to the heap only when
-     *  another arrives before it drains (a genuinely sleeping warp). */
+     *  outside the pending set and consumed here by the very next pick;
+     *  a wake is parked in the pending set only when another arrives
+     *  before it drains (a genuinely sleeping warp), and the pending set
+     *  is walked only once the clock reaches its cached minimum. */
     void
     drainWakes(Cycle now)
     {
-        if (stagedValid_ && staged_.at <= now) {
-            // A record is live only while it matches the warp's current
-            // wake time; onWake/onSleep supersede old records without
-            // removing them.
-            if (wakeAt_[staged_.warp] == staged_.at)
-                setReady(staged_.warp);
-            stagedValid_ = false;
+        if (staged_ != kNone && stagedAt_ <= now) {
+            setBit(readyBits_, staged_);
+            staged_ = kNone;
         }
-        if (heap_.empty())
-            return;
-        const std::uint64_t bound = pack({now + 1, 0});
-        while (!heap_.empty() && heap_.front() < bound) {
-            const Wake wake = unpack(heap_.front());
-            std::pop_heap(heap_.begin(), heap_.end(),
-                          std::greater<std::uint64_t>());
-            heap_.pop_back();
-            if (wakeAt_[wake.warp] == wake.at)
-                setReady(wake.warp);
-        }
+        if (now >= minPending_)
+            promoteDue(now);
     }
 
-    /** Earliest live wake record (exact: stale records are discarded). */
+    /** One pass over the pending set: promote the warps due at @p now
+     *  and recompute the cached minimum over the rest. */
+    void promoteDue(Cycle now);
+
+    /** Exact earliest pending wake (recomputes the cached minimum, which
+     *  onWake/onSleep may have left stale-low). */
     Cycle minPendingWake();
 
     /** Lowest ready warp id >= @p start, or kNone. */
@@ -205,13 +181,15 @@ class WarpScheduler
         }
     }
 
-    void setReady(std::uint32_t warp)
+    static void setBit(std::vector<std::uint64_t> &bits,
+                       std::uint32_t warp)
     {
-        readyBits_[warp / 64] |= std::uint64_t(1) << (warp % 64);
+        bits[warp / 64] |= std::uint64_t(1) << (warp % 64);
     }
-    void clearReady(std::uint32_t warp)
+    static void clearBit(std::vector<std::uint64_t> &bits,
+                         std::uint32_t warp)
     {
-        readyBits_[warp / 64] &= ~(std::uint64_t(1) << (warp % 64));
+        bits[warp / 64] &= ~(std::uint64_t(1) << (warp % 64));
     }
     bool isReady(std::uint32_t warp) const
     {
@@ -224,18 +202,21 @@ class WarpScheduler
 
     /** Bit w set = warp w can issue now (its wake time has passed). */
     std::vector<std::uint64_t> readyBits_;
+    /** Bit w set = warp w sleeps until wakeAt_[w] (> the last drain) and
+     *  is not the staged warp. Every warp is in exactly one of: ready,
+     *  pending, staged, or asleep with no wake time (kNever). */
+    std::vector<std::uint64_t> pendingBits_;
     /** Current wake time per warp; <= the drain cycle once ready, kNever
      *  while sleeping with no pending wake. */
     std::vector<Cycle> wakeAt_;
-    /** The most recent wake event, staged outside the heap (see
-     *  drainWakes). */
-    Wake staged_{0, 0};
-    bool stagedValid_ = false;
-    std::uint32_t warpBits_ = 1;   ///< Bits of a packed record's warp field.
-    /** Min-heap (by cycle) of packed pending wake records. Entries whose
-     *  cycle no longer matches the warp's wakeAt_ are stale and skipped
-     *  lazily, so re-waking a warp never needs an eager heap deletion. */
-    std::vector<std::uint64_t> heap_;
+    /** The most recently woken warp (kNone when drained), kept outside
+     *  the pending set, and its wake time (see drainWakes). */
+    std::uint32_t staged_ = kNone;
+    Cycle stagedAt_ = 0;
+    /** Lower bound on every pending warp's wake time; exact after each
+     *  promoteDue/minPendingWake pass, stale-low once the warp holding
+     *  it is re-woken or put to sleep. */
+    Cycle minPending_ = kNever;
 };
 
 } // namespace fuse

@@ -26,7 +26,8 @@ Sm::Sm(SmId id, const SmConfig &config, std::unique_ptr<L1DCache> l1d,
     statLoadBlock_ = &stats_.scalar("load_block_cycles");
 }
 
-void
+template <bool kRunAhead>
+bool
 Sm::issueWarp(std::uint32_t w, Cycle now)
 {
     WarpContext &warp = warps_[w];
@@ -70,7 +71,7 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
         warp.hasPending = false;
         scheduler_.onWake(w, now + 1);
         scheduler_.issued(w);
-        return;
+        return true;
     }
 
     // Memory instruction: the LSU issues one coalesced transaction per
@@ -84,7 +85,10 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
     req.type = instr.type;
     req.retry = warp.stalledTransaction;
 
-    L1DResult result = l1d_->access(req, now);
+    const L1DResult result = kRunAhead ? l1d_->accessPrivate(req, now)
+                                       : l1d_->access(req, now);
+    if (kRunAhead && result.kind == L1DResult::Kind::Deferred)
+        return false;
     l1dTickPending_ = true;
     if (result.kind == L1DResult::Kind::Stall) {
         // The warp parks at this transaction until the structural hazard
@@ -94,7 +98,7 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
         scheduler_.onWake(w, retry);
         warp.stalledTransaction = true;
         scheduler_.issued(w);
-        return;
+        return true;
     }
     warp.stalledTransaction = false;
 
@@ -109,7 +113,7 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
         // More transactions to issue next cycle.
         scheduler_.onWake(w, now + 1);
         scheduler_.issued(w);
-        return;
+        return true;
     }
 
     // Instruction complete. Loads block the warp until the data arrives
@@ -128,37 +132,64 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
         scheduler_.onWake(w, now + 1);
     }
     scheduler_.issued(w);
+    return true;
 }
 
-void
-Sm::tick(Cycle now)
+Cycle
+Sm::tick(Cycle now, Cycle limit)
 {
-    // Tick the L1D only while it has deferred work; the flag spares the
-    // virtual call on the (dominant) idle cycles.
+    // The visit cycle. Tick the L1D only while it has deferred work; the
+    // flag spares the virtual call on the (dominant) idle cycles.
     if (l1dTickPending_) {
         l1d_->tick(now);
         l1dTickPending_ = !l1d_->tickIdle();
     }
+    FUSE_PROF_COUNT(gpu, sm_ticks);
     if (done())
-        return;
+        return now + 1;
 
-    // Idle fast path: every warp is blocked until sleepUntil_, so skip
-    // the ready scan (it dominates simulation cost otherwise).
-    if (sleepUntil_ > now) {
-        ++(*statIdle_);
-        ++(*statMemWait_);
-        return;
-    }
-
+    // A transaction deferred by the last run-ahead was picked at this
+    // very cycle already: issue it without picking (and counting) again.
+    // Otherwise pick, unless every warp is known to sleep past `now`
+    // (the GPU visits a sleeping SM only while its L1D has tick work).
+    std::uint32_t w = deferredWarp_;
+    deferredWarp_ = WarpScheduler::kNone;
     Cycle min_ready = ~Cycle(0);
-    std::uint32_t w = scheduler_.pickReady(now, &min_ready);
-    if (w == WarpScheduler::kNone) {
-        sleepUntil_ = min_ready;
-        ++(*statIdle_);
-        ++(*statMemWait_);
-        return;
+    if (w == WarpScheduler::kNone && sleepUntil_ <= now) {
+        w = scheduler_.pickReady(now, &min_ready);
+        if (w == WarpScheduler::kNone)
+            sleepUntil_ = min_ready;
     }
-    issueWarp(w, now);
+    if (w == WarpScheduler::kNone) {
+        countIdleCycle();
+        return now + 1;
+    }
+    issueWarp<false>(w, now);
+
+    // Run ahead while each cycle's outcome is private to this SM.
+    Cycle c = now + 1;
+    for (; c < limit && !done(); ++c) {
+        if (l1dTickPending_) {
+            // Tick work (a tag-queue drain) may write back to L2: leave
+            // it to the shared clock. An idle L1D's tick is a no-op.
+            if (!l1d_->tickIdle())
+                return c;
+            l1dTickPending_ = false;
+        }
+        w = scheduler_.pickReady(c, &min_ready);
+        if (w == WarpScheduler::kNone) {
+            FUSE_PROF_COUNT(gpu, sm_ticks);
+            sleepUntil_ = min_ready;
+            countIdleCycle();
+            return c + 1;
+        }
+        if (!issueWarp<true>(w, c)) {
+            deferredWarp_ = w;
+            return c;
+        }
+        FUSE_PROF_COUNT(gpu, sm_ticks);
+    }
+    return c;
 }
 
 } // namespace fuse

@@ -40,8 +40,22 @@ class Sm
     Sm(SmId id, const SmConfig &config, std::unique_ptr<L1DCache> l1d,
        std::unique_ptr<KernelGenerator> kernel);
 
-    /** Advance one cycle. */
-    void tick(Cycle now);
+    /**
+     * Simulate cycle @p now — the GPU clock's visit, at which this SM
+     * may reach the shared MemoryHierarchy in (cycle, smId) order — and
+     * then run ahead through now+1, now+2, ... while every cycle's
+     * outcome stays private to this SM: compute issue, and L1D accesses
+     * that L1DCache::accessPrivate() serves on chip (SRAM hits, MSHR
+     * merges, MSHR-full stalls). Run-ahead stops before the first cycle
+     * that would touch shared state (a deferred access, whose pick is
+     * carried to the next visit, or per-cycle L1D tick work such as a
+     * tag-queue drain), and after a cycle on which every warp falls
+     * asleep or the SM retires its budget. Never simulates a cycle at or
+     * past @p limit. Returns the first cycle not yet accounted in this
+     * SM's state: the GPU revisits the SM at that cycle (or at its
+     * sleep bound).
+     */
+    Cycle tick(Cycle now, Cycle limit);
 
     /** All warps retired their share of the instruction budget. */
     bool done() const { return instructionsIssued_ >= config_.instructionBudget; }
@@ -114,8 +128,21 @@ class Sm
         std::uint32_t uncountedMissed = 0;
     };
 
-    /** Issue (or continue) warp @p w's instruction. */
-    void issueWarp(std::uint32_t w, Cycle now);
+    /**
+     * Issue (or continue) warp @p w's instruction. When @p kRunAhead, a
+     * memory transaction goes through accessPrivate(); if the L1D defers
+     * it, returns false with the transaction unissued (the instruction
+     * stays popped, so re-issuing at the same cycle resumes it).
+     */
+    template <bool kRunAhead>
+    bool issueWarp(std::uint32_t w, Cycle now);
+
+    /** One all-warps-asleep cycle: what skipIdle() credits per cycle. */
+    void countIdleCycle()
+    {
+        ++(*statIdle_);
+        ++(*statMemWait_);
+    }
 
     /** Drain @p warp's batched transaction counters into the group. */
     void flushWarpTransactions(WarpContext &warp)
@@ -146,6 +173,10 @@ class Sm
     std::uint64_t instructionsIssued_ = 0;
     /** No warp becomes ready before this cycle (idle fast path). */
     Cycle sleepUntil_ = 0;
+    /** Warp picked at the cycle run-ahead stopped on (its transaction
+     *  was deferred), issued at the next visit without a second pick;
+     *  kNone otherwise. */
+    std::uint32_t deferredWarp_ = WarpScheduler::kNone;
     /** The L1D may have deferred work (tag-queue drain): tick it. Set
      *  after every access, cleared when the L1D reports tick-idle —
      *  skips the virtual tick() call on the (dominant) idle cycles. */

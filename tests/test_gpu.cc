@@ -2,11 +2,17 @@
  * @file
  * Tests for the GPU model: coalescer, warp scheduler, SM issue/stall
  * behaviour, and the top-level Gpu next-event clock, including its
- * safety-cap and all-done-at-cycle-0 edges.
+ * safety-cap and all-done-at-cycle-0 edges, and a differential check of
+ * the clock's SM run-ahead against lock-step ticking.
  */
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
+#include <string>
+
+#include "exp/export.hh"
 #include "gpu/coalescer.hh"
 #include "gpu/gpu.hh"
 #include "gpu/scheduler.hh"
@@ -252,27 +258,166 @@ TEST(Gpu, MemoryBoundWorkloadWaitsOnMemory)
     EXPECT_GT(waits, 0.0);
 }
 
+/** The organisations whose SMs run ahead through different outcomes:
+ *  the two SRAM ones through hits, MSHR merges and MSHR-full stalls;
+ *  Dy-FUSE (every access deferred to the clock) through compute only. */
+const L1DKind kRunAheadKinds[] = {L1DKind::L1Sram, L1DKind::FaSram,
+                                  L1DKind::DyFuse};
+
+/** Every exported metric of @p a equals @p b's, bit for bit. */
+void
+expectSameMetrics(const Metrics &a, const Metrics &b)
+{
+    for (const MetricField &field : metricFields())
+        EXPECT_EQ(field.get(a), field.get(b)) << field.name;
+}
+
 TEST(Gpu, MaxCyclesCapStopsTheClockAtTheCap)
 {
     // A budget no SM can retire under the cap: the clock must stop at
-    // exactly maxCycles.
-    SimConfig config = SimConfig::testScale();
-    config.gpu.maxCycles = 5000;
-    const Metrics m = Simulator(config).run("PVC", L1DKind::DyFuse);
-    EXPECT_EQ(m.cycles, 5000u);
-    EXPECT_LT(m.instructions, config.gpu.instructionBudgetPerSm
-                                  * config.gpu.numSms);
+    // exactly maxCycles, even where an SM runs ahead across the cap.
+    for (L1DKind kind : kRunAheadKinds) {
+        SCOPED_TRACE(toString(kind));
+        SimConfig config = SimConfig::testScale();
+        config.gpu.maxCycles = 5000;
+        const Metrics m = Simulator(config).run("PVC", kind);
+        EXPECT_EQ(m.cycles, 5000u);
+        EXPECT_LT(m.instructions, config.gpu.instructionBudgetPerSm
+                                      * config.gpu.numSms);
+    }
 }
 
 TEST(Gpu, ZeroBudgetIsDoneAfterOneCycle)
 {
     // Every SM is done before cycle 0: the clock still ticks each SM
     // once at cycle 0 and reports one elapsed cycle.
+    for (L1DKind kind : kRunAheadKinds) {
+        SCOPED_TRACE(toString(kind));
+        SimConfig config = SimConfig::testScale();
+        config.gpu.instructionBudgetPerSm = 0;
+        const Metrics m = Simulator(config).run("ATAX", kind);
+        EXPECT_EQ(m.cycles, 1u);
+        EXPECT_EQ(m.instructions, 0u);
+    }
+}
+
+TEST(Gpu, SafetyCapWarnsOnlyWhenAnSmIsCutShort)
+{
+    // A run that retires its budget on its last allowed cycle is not
+    // capped: no warning, and the same result as an uncapped run. One
+    // cycle less cuts it short: the warning, and the clock stops at the
+    // cap. This also pins the run's cycle count as the last SM's
+    // completion cycle + 1, wherever a run-ahead SM completed.
+    for (L1DKind kind : kRunAheadKinds) {
+        SCOPED_TRACE(toString(kind));
+        SimConfig config = SimConfig::testScale();
+        const Metrics natural = Simulator(config).run("PVC", kind);
+        ASSERT_EQ(natural.instructions, config.gpu.instructionBudgetPerSm
+                                            * config.gpu.numSms);
+
+        config.gpu.maxCycles = natural.cycles;
+        ::testing::internal::CaptureStderr();
+        const Metrics at_cap = Simulator(config).run("PVC", kind);
+        const std::string quiet = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(quiet.find("safety cap"), std::string::npos) << quiet;
+        expectSameMetrics(natural, at_cap);
+
+        config.gpu.maxCycles = natural.cycles - 1;
+        ::testing::internal::CaptureStderr();
+        const Metrics cut = Simulator(config).run("PVC", kind);
+        const std::string warned = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(warned.find("safety cap"), std::string::npos);
+        EXPECT_EQ(cut.cycles, natural.cycles - 1);
+        EXPECT_LT(cut.instructions, natural.instructions);
+    }
+}
+
+/**
+ * The reference clock run-ahead replaced: every SM is visited on every
+ * cycle, in index order, and simulates exactly that cycle (a limit of
+ * now + 1 leaves it nothing to run ahead through). Returns the elapsed
+ * cycles.
+ */
+Cycle
+runLockStep(Gpu &gpu)
+{
+    Cycle now = 0;
+    for (;; ++now) {
+        bool all_done = true;
+        for (const auto &sm : gpu.sms()) {
+            sm->tick(now, now + 1);
+            all_done = all_done && sm->done();
+        }
+        if (all_done)
+            break;
+    }
+    for (const auto &sm : gpu.sms())
+        sm->flushIssueStats();
+    return now + 1;
+}
+
+/** Every statistic of @p gpu's SMs, L1Ds and shared hierarchy, exact. */
+std::string
+dumpAllStats(const Gpu &gpu)
+{
+    std::ostringstream os;
+    os << std::setprecision(17);
+    for (const auto &sm : gpu.sms()) {
+        sm->stats().dump(os);
+        sm->l1d().stats().dump(os);
+    }
+    const MemoryHierarchy &mem = gpu.hierarchy();
+    mem.stats().dump(os);
+    mem.noc().stats().dump(os);
+    mem.l2().stats().dump(os);
+    mem.dram().stats().dump(os);
+    return os.str();
+}
+
+/** Run @p kind on @p bench under both clocks and compare everything. */
+void
+expectLockStepParity(const GpuConfig &gpu_config, const L1DParams &l1d,
+                     L1DKind kind, const std::string &bench)
+{
+    Gpu clocked(gpu_config, kind, l1d, benchmarkByName(bench));
+    const Cycle cycles = clocked.run();
+    Gpu stepped(gpu_config, kind, l1d, benchmarkByName(bench));
+    EXPECT_EQ(runLockStep(stepped), cycles);
+    EXPECT_EQ(dumpAllStats(stepped), dumpAllStats(clocked));
+}
+
+TEST(Gpu, RunAheadMatchesLockStepTicking)
+{
+    // Differential tier for the run-ahead clock: on an MSHR-storm
+    // workload (ATAX) at the Fermi scale, every organisation must end
+    // in exactly the state lock-step ticking reaches — same cycle count,
+    // same statistic everywhere, shared hierarchy included (whose
+    // arbitration would expose any access taken out of (cycle, smId)
+    // order).
+    SimConfig config = SimConfig::fermi();
+    config.gpu.instructionBudgetPerSm = 4000;
+    for (L1DKind kind : allL1DKinds()) {
+        SCOPED_TRACE(toString(kind));
+        expectLockStepParity(config.gpu, config.l1d, kind, "ATAX");
+    }
+    // The case run-ahead exists for must actually occur here.
+    Gpu sram(config.gpu, L1DKind::L1Sram, config.l1d,
+             benchmarkByName("ATAX"));
+    sram.run();
+    EXPECT_GT(sram.sumL1dStat("stall_mshr_full"), 0.0);
+}
+
+TEST(Gpu, RunEndsOnlyAfterDrainsUpToTheLastCompletion)
+{
+    // The last SM can retire its budget while running ahead of the
+    // clock; the other (done) SMs' tag-queue drains up to that cycle
+    // must still run before the run ends. These budgets end exactly so
+    // at the test scale (found by a lock-step sweep over budgets).
     SimConfig config = SimConfig::testScale();
-    config.gpu.instructionBudgetPerSm = 0;
-    const Metrics m = Simulator(config).run("ATAX", L1DKind::DyFuse);
-    EXPECT_EQ(m.cycles, 1u);
-    EXPECT_EQ(m.instructions, 0u);
+    config.gpu.instructionBudgetPerSm = 437;
+    expectLockStepParity(config.gpu, config.l1d, L1DKind::BaseFuse, "cfd");
+    config.gpu.instructionBudgetPerSm = 1396;
+    expectLockStepParity(config.gpu, config.l1d, L1DKind::FaFuse, "histo");
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * pre-refactor scheduler evaluated readiness by scanning every warp's
  * ready time on each pick; that scan survives here as the reference
  * model, and the event-driven WarpScheduler (ready bitmap + staged wake +
- * sleeping-warp min-heap) is driven through long random wake/sleep/issue
- * sequences against it. Both the picked warp id and the no-warp-ready
+ * pending bitmap with a cached earliest wake) is driven through long
+ * random wake/sleep/issue sequences and scripted wake storms against it. Both the picked warp id and the no-warp-ready
  * sleep bound (min_ready) must match exactly on every step — the SM's
  * sleep windows, and through them the GPU's next-event clock, are timing
  * observable, so "almost" is a simulation bug.
@@ -165,9 +165,205 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(SchedPolicy::RoundRobin,
                           SchedPolicy::GreedyThenOldest),
-        // 1-warp and 48-warp are the SM edges; 64/128 exercise the
-        // multi-word ready bitmap, 2/3 the tiny-ring wrap-around.
-        ::testing::Values(1u, 2u, 3u, 48u, 64u, 128u)));
+        // 1-warp and 48-warp are the SM edges; 64/65/128 exercise the
+        // multi-word bitmaps, 2/3 the tiny-ring wrap-around.
+        ::testing::Values(1u, 2u, 3u, 48u, 64u, 65u, 128u)));
+
+/**
+ * Drives the event-driven scheduler and the legacy scan with the same
+ * events and checks every pick — and, when nothing is ready, the exact
+ * sleep bound — against each other.
+ */
+class Twin
+{
+  public:
+    Twin(SchedPolicy policy, std::uint32_t num_warps)
+        : ref_(policy, num_warps), sched_(policy, num_warps)
+    {
+    }
+
+    void wake(std::uint32_t warp, Cycle at)
+    {
+        ref_.onWake(warp, at);
+        sched_.onWake(warp, at);
+    }
+
+    void sleep(std::uint32_t warp)
+    {
+        ref_.onSleep(warp);
+        sched_.onSleep(warp);
+    }
+
+    /** Pick at @p now in both; the pick, or kNone with the bound in
+     *  *@p min_ready. */
+    std::uint32_t pick(Cycle now, Cycle *min_ready)
+    {
+        Cycle ref_min = 0;
+        Cycle min = 0;
+        const std::uint32_t ref_pick = ref_.pickReady(now, &ref_min);
+        const std::uint32_t got = sched_.pickReady(now, &min);
+        EXPECT_EQ(got, ref_pick) << "now=" << now;
+        if (got == WarpScheduler::kNone) {
+            EXPECT_EQ(min, ref_min) << "now=" << now;
+            *min_ready = min;
+        }
+        return got;
+    }
+
+    /** Pick at @p now, expecting nothing ready; returns the bound. */
+    Cycle expectIdle(Cycle now)
+    {
+        Cycle min = 0;
+        EXPECT_EQ(pick(now, &min), WarpScheduler::kNone) << "now=" << now;
+        return min;
+    }
+
+    /** Issue the pick at @p now (if any) and re-wake it at @p again;
+     *  returns the picked warp. */
+    std::uint32_t issue(Cycle now, Cycle again)
+    {
+        Cycle min = 0;
+        const std::uint32_t w = pick(now, &min);
+        if (w != WarpScheduler::kNone) {
+            ref_.issued(w);
+            sched_.issued(w);
+            wake(w, again);
+        }
+        return w;
+    }
+
+  private:
+    LegacyScanScheduler ref_;
+    WarpScheduler sched_;
+};
+
+/** A wake far past every other one in a script. */
+constexpr Cycle kFar = 5000;
+
+class SchedulerStorm
+    : public ::testing::TestWithParam<std::tuple<SchedPolicy, std::uint32_t>>
+{
+};
+
+TEST_P(SchedulerStorm, DozensOfWarpsWokenToOneCycleDrainTogether)
+{
+    const auto [policy, warps] = GetParam();
+    for (const Cycle target : {Cycle(300), kFar}) {
+        SCOPED_TRACE(target);
+        Twin twin(policy, warps);
+        // Every warp issues once and stalls to the same cycle, like an
+        // MSHR-full storm parked on one retry time.
+        Cycle now = 0;
+        for (std::uint32_t i = 0; i < warps; ++i)
+            twin.issue(now++, target);
+        EXPECT_EQ(twin.expectIdle(now), target);
+        // The whole storm drains at once; the warps then issue one per
+        // cycle in policy order, each stalling to a second shared cycle.
+        for (now = target; now < target + warps; ++now)
+            ASSERT_NE(twin.issue(now, target + 2 * kFar),
+                      WarpScheduler::kNone);
+        EXPECT_EQ(twin.expectIdle(now), target + 2 * kFar);
+        for (now = target + 2 * kFar; now < target + 2 * kFar + warps; ++now)
+            ASSERT_NE(twin.issue(now, now + 1), WarpScheduler::kNone);
+    }
+}
+
+TEST_P(SchedulerStorm, PendingWarpReWokenEarlierAndLater)
+{
+    const auto [policy, warps] = GetParam();
+    Twin twin(policy, warps);
+    // Park every warp: each new wake parks the previously staged one.
+    for (std::uint32_t w = 0; w < warps; ++w)
+        twin.wake(w, 700 + w);
+    EXPECT_EQ(twin.expectIdle(10), 700u);
+    // Warp 0, pending at 700 and holding the cached minimum, moves
+    // earlier, then later; then the last warp far past everyone.
+    twin.wake(0, 200);
+    EXPECT_EQ(twin.expectIdle(11), 200u);
+    twin.wake(0, 900);
+    twin.wake(warps - 1, kFar);
+    EXPECT_EQ(twin.expectIdle(12), warps > 1 ? 701u : kFar);
+    // A far wake moved back to the front, and a near one far out.
+    twin.wake(warps - 1, 150);
+    twin.wake(warps / 2, kFar + 3);
+    EXPECT_EQ(twin.expectIdle(13), warps > 1 ? 150u : kFar + 3);
+    for (Cycle now = 150; now < kFar + 10; ++now)
+        twin.issue(now, now + 1 + (now % 7) * 300);
+}
+
+TEST_P(SchedulerStorm, SleepOfPendingAndOfStagedWarp)
+{
+    const auto [policy, warps] = GetParam();
+    Twin twin(policy, warps);
+    for (std::uint32_t w = 0; w < warps; ++w)
+        twin.wake(w, w % 2 ? kFar + w : 400 + w);
+    // The last wake is the staged one; the rest are pending.
+    twin.sleep(warps - 1);
+    twin.sleep(0);   // Pending (or, with one warp, already asleep).
+    Cycle min = twin.expectIdle(20);
+    if (warps > 2) {
+        EXPECT_EQ(min, 402u);
+    }
+    // Sleep every pending warp holding the earliest wake in turn: the
+    // bound must follow exactly.
+    for (std::uint32_t w = 2; w < warps; w += 2) {
+        twin.sleep(w);
+        min = twin.expectIdle(21);
+    }
+    for (std::uint32_t w = 1; w + 1 < warps; w += 2) {
+        twin.sleep(w);
+        min = twin.expectIdle(22);
+    }
+    EXPECT_EQ(min, WarpScheduler::kNever);
+    // Everyone wakes again and runs.
+    for (std::uint32_t w = 0; w < warps; ++w)
+        twin.wake(w, 30);
+    for (Cycle now = 30; now < 30 + 2 * warps; ++now)
+        ASSERT_NE(twin.issue(now, now + 1), WarpScheduler::kNone);
+}
+
+TEST_P(SchedulerStorm, MinReadyExactAfterCachedMinimumGoesStale)
+{
+    const auto [policy, warps] = GetParam();
+    Twin twin(policy, warps);
+    // Park near and far wakes, then keep moving whichever warp holds the
+    // earliest wake further out: each move leaves the cached minimum
+    // below every real wake, and the sleep bound must stay exact.
+    std::vector<Cycle> at(warps);
+    for (std::uint32_t w = 0; w < warps; ++w) {
+        at[w] = w < warps / 2 ? 100 + 3 * w : kFar + w;
+        twin.wake(w, at[w]);
+    }
+    Cycle now = 1;
+    for (std::uint32_t step = 0; step < 2 * warps; ++step) {
+        const Cycle min = twin.expectIdle(now++);
+        const auto holder = static_cast<std::uint32_t>(
+            std::min_element(at.begin(), at.end()) - at.begin());
+        ASSERT_EQ(min, at[holder]);
+        at[holder] = min + (step % 2 ? 7 : kFar);
+        twin.wake(holder, at[holder]);
+    }
+    // Then run the clock through every wake, issuing as the SM would.
+    const Cycle end = *std::max_element(at.begin(), at.end()) + warps;
+    while (now < end) {
+        Cycle min = 0;
+        if (twin.pick(now, &min) == WarpScheduler::kNone) {
+            if (min == WarpScheduler::kNever)
+                break;
+            now = min;
+            continue;
+        }
+        twin.issue(now, now + 1 + (now % 5) * 400);
+        ++now;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndWarpCounts, SchedulerStorm,
+    ::testing::Combine(
+        ::testing::Values(SchedPolicy::RoundRobin,
+                          SchedPolicy::GreedyThenOldest),
+        ::testing::Values(1u, 48u, 64u, 65u, 128u)));
 
 TEST(SchedulerParityEdge, AllWarpsAsleepForever)
 {
