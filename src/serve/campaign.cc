@@ -1,13 +1,18 @@
 #include "serve/campaign.hh"
 
+#include <link.h>
+#include <sys/auxv.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <exception>
-#include <sstream>
+#include <fstream>
 #include <utility>
 
 #include "common/bitops.hh"
 #include "common/log.hh"
 #include "exp/canonical.hh"
-#include "exp/export.hh"
 #include "exp/sweep_runner.hh"
 #include "fuse/l1d.hh"
 
@@ -46,29 +51,113 @@ simulatePoint(const ExperimentSpec &spec, std::size_t b, std::size_t v,
     return runner.run(sub).at(0).metrics;
 }
 
+/** One step of the build-identity hash: FNV-1a over a 64-bit word,
+ *  then an xor-shift fold so a word's high bits reach the low bits. */
+std::uint64_t
+mixWord(std::uint64_t h, std::uint64_t word)
+{
+    h = (h ^ word) * 0x100000001b3ull;
+    return h ^ (h >> 32);
+}
+
+/** Fold every byte of @p path into @p h, 8-byte words at a time, then
+ *  its length, so a trailing zero byte or a moved file boundary still
+ *  changes the hash. The file is read through a 64 KiB buffer, never
+ *  mapped: mapped pages would count toward the process's resident set. */
+std::uint64_t
+hashFile(std::uint64_t h, const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    constexpr std::size_t kBufferBytes = 64 * 1024;
+    std::vector<char> buffer(kBufferBytes);
+    std::uint64_t length = 0;
+    // read() fills the whole buffer until end of file, so only the last
+    // chunk can end mid-word and the words do not depend on chunking.
+    while (is) {
+        is.read(buffer.data(), kBufferBytes);
+        const auto filled = static_cast<std::size_t>(is.gcount());
+        for (std::size_t i = 0; i < filled; i += 8) {
+            std::uint64_t word = 0;
+            std::memcpy(&word, buffer.data() + i,
+                        std::min<std::size_t>(8, filled - i));
+            h = mixWord(h, word);
+        }
+        length += filled;
+    }
+    if (!is.eof() || is.bad())
+        fuse_fatal("cannot read build object '%s': %s", path.c_str(),
+                   std::strerror(errno));
+    return mixWord(h, length);
+}
+
+/** The running executable (as /proc/self/exe) and every shared object
+ *  it has loaded, in link-map order. The vDSO is skipped: the kernel
+ *  provides it and no file backs it. */
+std::vector<std::string>
+loadedObjectPaths()
+{
+    struct Walk
+    {
+        std::uintptr_t vdso;
+        std::vector<std::string> paths;
+    } walk{static_cast<std::uintptr_t>(getauxval(AT_SYSINFO_EHDR)),
+           {"/proc/self/exe"}};
+    dl_iterate_phdr(
+        [](dl_phdr_info *info, std::size_t, void *data) -> int {
+            Walk &w = *static_cast<Walk *>(data);
+            // The main program is listed first, with an empty name.
+            if (!info->dlpi_name || !info->dlpi_name[0])
+                return 0;
+            for (ElfW(Half) i = 0; i < info->dlpi_phnum; ++i) {
+                const ElfW(Phdr) &ph = info->dlpi_phdr[i];
+                if (ph.p_type == PT_LOAD && ph.p_offset == 0
+                    && info->dlpi_addr + ph.p_vaddr == w.vdso)
+                    return 0;
+            }
+            w.paths.emplace_back(info->dlpi_name);
+            return 0;
+        },
+        &walk);
+    return walk.paths;
+}
+
+/** The CPU features glibc's libm dispatches its exp/log/pow variants
+ *  on: the same bytes can compute different doubles on another CPU. */
+std::uint64_t
+libmCpuFeatures()
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    return (__builtin_cpu_supports("fma") ? 1u : 0u)
+           | (__builtin_cpu_supports("avx2") ? 2u : 0u)
+           | (__builtin_cpu_supports("avx512f") ? 4u : 0u);
+#else
+    return 0;
+#endif
+}
+
 } // namespace
+
+std::uint64_t
+hashBuildObjects(const std::vector<std::string> &paths,
+                 std::uint64_t cpu_features)
+{
+    std::uint64_t h = fnv1a64(&cpu_features, sizeof cpu_features);
+    for (const std::string &path : paths)
+        h = hashFile(h, path);
+    return h;
+}
+
+std::uint64_t
+buildIdentity()
+{
+    return hashBuildObjects(loadedObjectPaths(), libmCpuFeatures());
+}
 
 std::uint64_t
 binaryFingerprint()
 {
-    // The probe pins its instruction budget by override so FUSE_FAST
-    // (which only scales preset budgets) can't make two identical
-    // builds disagree; base "test" keeps it to ~18 tiny runs.
-    static const std::uint64_t fp = []() {
-        ExperimentSpec spec;
-        spec.name = "fingerprint_probe";
-        spec.base = "test";
-        spec.benchmarks = {"ATAX", "BICG"};
-        spec.kinds = allL1DKinds();
-        spec.seed = 1;
-        spec.variants = {ConfigVariant{
-            "probe", {ConfigOverride{"gpu.instructionBudgetPerSm", 2000.0}}}};
-        SweepRunner runner(1);
-        const ResultSet results = runner.run(spec);
-        std::ostringstream os;
-        writeJson(os, results);
-        return fnv1a64(os.str());
-    }();
+    static const std::uint64_t fp = buildIdentity();
     return fp;
 }
 

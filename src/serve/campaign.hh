@@ -13,9 +13,13 @@
  * The point text captures the *materialised* configuration — presets,
  * overrides, seeds and FUSE_FAST budget scaling included — so any
  * change that would alter the simulation changes the key. The
- * fingerprint is behavioural: a hash of a small fixed probe sweep's
- * export, so rebuilding the binary with different simulator behaviour
- * invalidates the cache while a pure refactor keeps it warm.
+ * fingerprint is the build identity: a hash of the bytes of the running
+ * executable and of every shared object it has loaded, plus the CPU
+ * features libm dispatches on. A result depends on nothing else, so a
+ * record can only be served to the exact build and host class that
+ * produced it. Any rebuild, library update or CPU-feature change —
+ * a pure refactor included — goes cold, which is safe by construction;
+ * computing the identity simulates nothing and takes a few ms.
  */
 
 #ifndef FUSE_SERVE_CAMPAIGN_HH
@@ -35,12 +39,25 @@ namespace fuse
 {
 
 /**
- * Behavioural fingerprint of this binary: FNV-1a of the writeJson
- * export of a tiny deterministic probe sweep (test-scale preset, pinned
- * instruction budget so FUSE_FAST can't skew it, every L1D kind).
- * Computed once per process and cached. Two builds that simulate
- * identically share a fingerprint; any behavioural drift changes it.
+ * Hash step of the build identity: folds @p cpu_features, then the
+ * bytes and length of each file in @p paths, in order, into one 64-bit
+ * value (8-byte words, each file read through a 64 KiB buffer, never
+ * mapped). Fatal if a file cannot be read.
  */
+std::uint64_t hashBuildObjects(const std::vector<std::string> &paths,
+                               std::uint64_t cpu_features);
+
+/**
+ * Build identity of this process, computed afresh on every call:
+ * hashBuildObjects over the executable (/proc/self/exe) and every
+ * shared object dl_iterate_phdr lists (the vDSO skipped), with the
+ * x86-64 fma/avx2/avx512f bits glibc's libm picks its exp/log/pow code
+ * by. Linux only. Simulates nothing.
+ */
+std::uint64_t buildIdentity();
+
+/** buildIdentity(), computed once per process and cached: the
+ *  fingerprint every store key of this process carries. */
 std::uint64_t binaryFingerprint();
 
 /** Cumulative counters across every campaign a service has served. */
@@ -62,8 +79,8 @@ struct ServeOptions
 {
     std::string storeDir;           ///< Required: ResultStore root.
     unsigned workers = 1;           ///< Cold-point simulation threads.
-    /** Non-zero skips the probe sweep and uses this fingerprint —
-     *  tests pin it so store layouts stay deterministic. */
+    /** Non-zero skips the build-identity hash and uses this
+     *  fingerprint — tests pin it so store layouts stay deterministic. */
     std::uint64_t fingerprint = 0;
 };
 

@@ -145,9 +145,14 @@ ResultStore::clear() const
 {
     std::error_code ec;
     for (const auto &entry : fs::directory_iterator(dir_, ec)) {
-        const auto ext = entry.path().extension();
-        if (ext == ".json" || ext == ".point")
-            fs::remove(entry.path(), ec);
+        const fs::path &path = entry.path();
+        const std::string ext = path.extension().string();
+        // "<key>.json.tmpN" is a record put() staged but a killed
+        // writer never renamed into place.
+        const bool staged = ext.rfind(".tmp", 0) == 0
+                            && path.stem().extension() == ".json";
+        if (ext == ".json" || ext == ".point" || staged)
+            fs::remove(path, ec);
     }
 }
 

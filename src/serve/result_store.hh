@@ -58,7 +58,8 @@ class ResultStore
     /** Number of records currently in the store. */
     std::size_t size() const;
 
-    /** Remove every record and sidecar. */
+    /** Remove every record and sidecar, and every staged record a
+     *  writer killed before its rename left behind. */
     void clear() const;
 
   private:

@@ -17,6 +17,7 @@
 
 #include "exp/export.hh"
 #include "prof/prof.hh"
+#include "serve/campaign.hh"
 #include "sim/simulator.hh"
 
 namespace fuse
@@ -352,6 +353,17 @@ TEST(ProfSimulator, PresenceFilterSitesConsistent)
     EXPECT_LE(p.count("l1d_sram", "filter_removes"),
               p.count("l1d_sram", "filter_inserts"));
     (void)m;
+}
+
+/** The campaign service's start-up: the build identity behind every
+ *  store key is read from the build's own bytes and simulates nothing. */
+TEST(ProfServe, BuildIdentitySimulatesNothing)
+{
+    const prof::ProfileReport before = prof::snapshot();
+    EXPECT_NE(buildIdentity(), 0u);
+    const prof::ProfileReport delta = prof::snapshot().diffSince(before);
+    EXPECT_EQ(delta.find("sim", "run"), nullptr);
+    EXPECT_EQ(delta.find("gpu", "run"), nullptr);
 }
 
 #else // !FUSE_PROF_ENABLED

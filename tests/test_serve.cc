@@ -4,8 +4,8 @@
  * and its committed content-hash goldens, the shared strict count
  * parser, the content-addressed ResultStore, and CampaignService end to
  * end — cold/warm cache behaviour, byte-identical cached-vs-fresh
- * exports, the failure ledger, and fingerprint-keyed cache
- * invalidation.
+ * exports, the failure ledger, fingerprint-keyed cache invalidation,
+ * and the build identity the fingerprint is.
  */
 
 #include <gtest/gtest.h>
@@ -278,6 +278,27 @@ TEST(ResultStore, WritesAnAuditSidecar)
     EXPECT_EQ(buffer.str(), "the canonical text\n");
 }
 
+TEST(ResultStore, ClearRemovesRecordsSidecarsAndStagedRecords)
+{
+    TempDir tmp;
+    ResultStore store(tmp.path + "/store");
+    store.put("00000000000000ab",
+              syntheticRun("ATAX", L1DKind::L1Sram, 1.0), "a\n");
+    // What a writer killed between staging and rename leaves behind.
+    const std::string staged =
+        tmp.path + "/store/00000000000000ab.json.tmp7";
+    std::ofstream(staged) << "{";
+    // A file the store did not write stays.
+    const std::string foreign = tmp.path + "/store/README";
+    std::ofstream(foreign) << "notes\n";
+
+    store.clear();
+    EXPECT_FALSE(fs::exists(tmp.path + "/store/00000000000000ab.json"));
+    EXPECT_FALSE(fs::exists(tmp.path + "/store/00000000000000ab.point"));
+    EXPECT_FALSE(fs::exists(staged));
+    EXPECT_TRUE(fs::exists(foreign));
+}
+
 TEST(ResultStoreDeathTest, CorruptRecordIsFatalNotAMiss)
 {
     TempDir tmp;
@@ -508,6 +529,66 @@ TEST(Campaign, BinaryFingerprintIsStable)
     const std::uint64_t first = binaryFingerprint();
     EXPECT_NE(first, 0u);
     EXPECT_EQ(binaryFingerprint(), first);
+    // Two uncached computations of the build identity agree with it.
+    EXPECT_EQ(buildIdentity(), first);
+    EXPECT_EQ(buildIdentity(), first);
+}
+
+// ------------------------------------------------------- build identity
+
+/** Write @p bytes to @p path, replacing any previous content. */
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+}
+
+TEST(BuildIdentity, EveryByteLengthAndOrderCounts)
+{
+    TempDir tmp;
+    const std::string a = tmp.path + "/a.so";
+    const std::string b = tmp.path + "/b.so";
+    // Lengths that end mid-word and past a 64 KiB read buffer.
+    std::string bytes_a(70000 + 3, '\0');
+    for (std::size_t i = 0; i < bytes_a.size(); ++i)
+        bytes_a[i] = static_cast<char>(i * 131 % 251);
+    const std::string bytes_b = "a second object";
+    writeBytes(a, bytes_a);
+    writeBytes(b, bytes_b);
+    const std::uint64_t base = hashBuildObjects({a, b}, 0);
+    EXPECT_EQ(hashBuildObjects({a, b}, 0), base);
+
+    EXPECT_NE(hashBuildObjects({b, a}, 0), base);   // order
+    EXPECT_NE(hashBuildObjects({a, b}, 1), base);   // CPU features
+    EXPECT_NE(hashBuildObjects({a}, 0), base);      // object set
+
+    for (std::size_t at : {std::size_t{0}, std::size_t{65537},
+                           bytes_a.size() - 1}) {
+        SCOPED_TRACE(at);
+        std::string flipped = bytes_a;
+        flipped[at] = static_cast<char>(flipped[at] ^ 0x80);
+        writeBytes(a, flipped);
+        EXPECT_NE(hashBuildObjects({a, b}, 0), base);
+    }
+    writeBytes(a, bytes_a);
+    EXPECT_EQ(hashBuildObjects({a, b}, 0), base);
+
+    // One appended byte, even a zero one, changes the hash.
+    writeBytes(a, bytes_a + std::string(1, '\0'));
+    EXPECT_NE(hashBuildObjects({a, b}, 0), base);
+    writeBytes(a, bytes_a + "x");
+    EXPECT_NE(hashBuildObjects({a, b}, 0), base);
+}
+
+TEST(BuildIdentityDeathTest, UnreadableObjectIsFatal)
+{
+    TempDir tmp;
+    EXPECT_EXIT(hashBuildObjects({tmp.path + "/missing.so"}, 0),
+                ::testing::ExitedWithCode(1), "cannot read build object");
+    // A directory opens but cannot be read.
+    EXPECT_EXIT(hashBuildObjects({tmp.path}, 0),
+                ::testing::ExitedWithCode(1), "cannot read build object");
 }
 
 } // namespace

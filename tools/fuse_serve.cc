@@ -18,16 +18,22 @@
  *            .err note. Stops on SIGINT/SIGTERM, a SPOOL/stop file, or
  *            after --max-polls polls.
  *
- * Job file keys: figure, benchmarks, kinds, json, csv; any other lines
- * are treated as an inline ExperimentSpec (exactly the fuse_sweep
- * --spec format) when no figure is named. Export paths are file names,
- * written into SPOOL/done/.
+ * Job file keys: figure, benchmarks, kinds, json, csv. When no figure
+ * is named, every other line is an inline ExperimentSpec (exactly the
+ * fuse_sweep --spec format). A figure job must hold nothing but job
+ * keys, blank lines and '#' comments, and json/csv values must be plain
+ * file names, written into SPOOL/done/; a job breaking either rule goes
+ * to SPOOL/failed/ with the offending line in its .err note.
  *
  * Every submission is expanded to grid points, each keyed by the
- * content hash of (canonical materialised point, binary fingerprint);
- * points already in the store are served from it, cold points are
- * simulated once and stored. Cached and fresh campaigns export byte-
- * identically (see serve/campaign.hh).
+ * content hash of (canonical materialised point, binary fingerprint).
+ * The fingerprint is this build's identity — a hash of the executable,
+ * its loaded shared objects and libm's CPU-feature bits, computed in a
+ * few ms at start-up without simulating — so a store goes cold on any
+ * rebuild, library update or CPU-feature change. Points already in the
+ * store are served from it, cold points are simulated once and stored.
+ * Cached and fresh campaigns export byte-identically (see
+ * serve/campaign.hh).
  */
 
 #include <algorithm>
@@ -208,14 +214,35 @@ onSignal(int)
     g_stop = 1;
 }
 
-/** Parse a spool job file into a Submission + optional inline spec. */
-Submission
-parseJob(const std::string &path, std::string &inline_spec)
+/** A value that names a file directly inside one directory: no
+ *  separator, and not "." or "..". */
+bool
+isPlainFileName(const std::string &name)
 {
-    Submission sub;
+    return !name.empty() && name != "." && name != ".."
+           && name.find('/') == std::string::npos;
+}
+
+/**
+ * Parse a spool job file into @p sub plus an optional inline spec.
+ * False, with @p error naming the offending line, when an export value
+ * is not a plain file name (it would land outside done/) or when a
+ * figure job carries a line that is not a job key: a figure job never
+ * reads inline spec lines, so such a line is a typo that would
+ * otherwise be ignored.
+ */
+bool
+parseJob(const std::string &path, Submission &sub, std::string &inline_spec,
+         std::string &error)
+{
     std::istringstream is(readFile(path));
     std::string line;
+    std::string unused;   // First non-key line, blank and '#' lines aside.
+    unsigned lineno = 0;
     while (std::getline(is, line)) {
+        ++lineno;
+        const std::string where =
+            "line " + std::to_string(lineno) + " '" + line + "'";
         const auto colon = line.find(':');
         std::string key, value;
         if (colon != std::string::npos) {
@@ -224,20 +251,35 @@ parseJob(const std::string &path, std::string &inline_spec)
             while (!value.empty() && value.front() == ' ')
                 value.erase(value.begin());
         }
-        if (key == "figure")
+        if (key == "figure") {
             sub.figure = value;
-        else if (key == "benchmarks")
+        } else if (key == "benchmarks") {
             sub.benchmarks = value;
-        else if (key == "kinds")
+        } else if (key == "kinds") {
             sub.kinds = value;
-        else if (key == "json")
-            sub.jsonPath = value;
-        else if (key == "csv")
-            sub.csvPath = value;
-        else
+        } else if (key == "json" || key == "csv") {
+            if (!isPlainFileName(value)) {
+                error = where + ": " + key
+                        + " must be a plain file name (exports are "
+                          "written into done/)";
+                return false;
+            }
+            (key == "json" ? sub.jsonPath : sub.csvPath) = value;
+        } else {
             inline_spec += line + "\n";
+            const auto first = line.find_first_not_of(" \t\r");
+            if (unused.empty() && first != std::string::npos
+                && line[first] != '#')
+                unused = where;
+        }
     }
-    return sub;
+    if (!sub.figure.empty() && !unused.empty()) {
+        error = unused + " is not a job key (figure, benchmarks, kinds, "
+                         "json, csv), and a figure job takes no inline "
+                         "spec lines";
+        return false;
+    }
+    return true;
 }
 
 int
@@ -273,26 +315,26 @@ watchSpool(fuse::CampaignService &service, const std::string &spool,
         std::sort(jobs.begin(), jobs.end());
 
         for (const auto &job : jobs) {
-            std::string inline_spec;
-            Submission sub = parseJob(job.string(), inline_spec);
-            std::string spec_file;
-            if (sub.figure.empty()) {
-                // Raw spec lines: stage them as a file for buildSpec.
-                spec_file = (done / (job.stem().string() + ".spec"))
-                                .string();
-                std::ofstream os(spec_file);
-                os << inline_spec;
-                sub.specPath = spec_file;
-            }
-            // Exports land in done/ next to the processed job.
-            if (!sub.jsonPath.empty())
-                sub.jsonPath = (done / sub.jsonPath).string();
-            if (!sub.csvPath.empty())
-                sub.csvPath = (done / sub.csvPath).string();
-
             std::fprintf(stderr, "job %s\n", job.filename().c_str());
+            Submission sub;
+            std::string inline_spec;
             std::string error;
-            const bool ok = processSubmission(service, sub, error);
+            bool ok = parseJob(job.string(), sub, inline_spec, error);
+            if (ok) {
+                if (sub.figure.empty()) {
+                    // Raw spec lines: stage them as a file for buildSpec.
+                    sub.specPath =
+                        (done / (job.stem().string() + ".spec")).string();
+                    std::ofstream os(sub.specPath);
+                    os << inline_spec;
+                }
+                // Exports land in done/ next to the processed job.
+                if (!sub.jsonPath.empty())
+                    sub.jsonPath = (done / sub.jsonPath).string();
+                if (!sub.csvPath.empty())
+                    sub.csvPath = (done / sub.csvPath).string();
+                ok = processSubmission(service, sub, error);
+            }
             if (ok) {
                 fs::rename(job, done / job.filename(), ec);
             } else {
