@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -168,6 +170,20 @@ overrideFields()
     return fields;
 }
 
+/** ExperimentSpec::appendBenchmarks for kind words: fatal on a repeated
+ *  kind. */
+void
+appendKinds(std::vector<L1DKind> &out, const std::string &list)
+{
+    for (const auto &word : splitList(list)) {
+        for (L1DKind k : ExperimentSpec::resolveKinds(word)) {
+            if (std::find(out.begin(), out.end(), k) != out.end())
+                fuse_fatal("L1D kind '%s' is listed twice", toString(k));
+            out.push_back(k);
+        }
+    }
+}
+
 } // namespace
 
 const std::vector<std::string> &
@@ -279,6 +295,54 @@ ExperimentSpec::resolveKinds(const std::string &word)
     return {kind};
 }
 
+void
+ExperimentSpec::appendBenchmarks(std::vector<std::string> &out,
+                                 const std::string &list)
+{
+    for (const auto &word : splitList(list)) {
+        for (const auto &name : resolveBenchmarks(word)) {
+            if (std::find(out.begin(), out.end(), name) != out.end())
+                fuse_fatal("workload '%s' is listed twice", name.c_str());
+            out.push_back(name);
+        }
+    }
+}
+
+void
+ExperimentSpec::restrictTo(const std::string &benchmarks_list,
+                           const std::string &kinds_list)
+{
+    if (!benchmarks_list.empty()) {
+        benchmarks.clear();
+        appendBenchmarks(benchmarks, benchmarks_list);
+    }
+    if (!kinds_list.empty()) {
+        kinds.clear();
+        appendKinds(kinds, kinds_list);
+    }
+}
+
+ExperimentSpec
+ExperimentSpec::parseFile(const std::string &path)
+{
+    // C stdio for stdin: <iostream>'s static stream set-up would be paid
+    // at start-up by every program linking the library.
+    if (path == "-") {
+        std::string text;
+        char chunk[4096];
+        std::size_t n;
+        while ((n = std::fread(chunk, 1, sizeof(chunk), stdin)) > 0)
+            text.append(chunk, n);
+        return parse(text);
+    }
+    std::ifstream is(path);
+    if (!is)
+        fuse_fatal("cannot read spec file '%s'", path.c_str());
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    return parse(buffer.str());
+}
+
 ExperimentSpec
 ExperimentSpec::parse(const std::string &text)
 {
@@ -312,13 +376,9 @@ ExperimentSpec::parse(const std::string &text)
         } else if (key == "seed") {
             spec.seed = parseSeed(value, line_no);
         } else if (key == "benchmarks") {
-            for (const auto &word : splitList(value))
-                for (const auto &name : resolveBenchmarks(word))
-                    spec.benchmarks.push_back(name);
+            appendBenchmarks(spec.benchmarks, value);
         } else if (key == "kinds") {
-            for (const auto &word : splitList(value))
-                for (L1DKind k : resolveKinds(word))
-                    spec.kinds.push_back(k);
+            appendKinds(spec.kinds, value);
         } else if (key == "variant") {
             // "label | key=value, key=value" (label optional).
             ConfigVariant variant;

@@ -81,6 +81,10 @@ struct ExperimentSpec
     /** Parse the text format documented above (fatal on errors). */
     static ExperimentSpec parse(const std::string &text);
 
+    /** parse() the spec file at @p path ('-' reads stdin); fatal when
+     *  it cannot be read. */
+    static ExperimentSpec parseFile(const std::string &path);
+
     /**
      * Expand a benchmark word: "all", "motivation", "sensitivity", or a
      * workload name (validated against Table II; fatal if unknown).
@@ -90,6 +94,23 @@ struct ExperimentSpec
 
     /** Expand a kind word: "all" or a toString(L1DKind) name. */
     static std::vector<L1DKind> resolveKinds(const std::string &word);
+
+    /**
+     * Append every workload the comma-separated @p list names (each word
+     * through resolveBenchmarks) to @p out. Fatal on a workload already
+     * in @p out: it would be simulated twice and weigh twice in every
+     * mean.
+     */
+    static void appendBenchmarks(std::vector<std::string> &out,
+                                 const std::string &list);
+
+    /**
+     * The CLIs' --benchmarks/--kinds restriction: replace the benchmark
+     * (kind) dimension with the comma-separated @p benchmarks_list
+     * (@p kinds_list); an empty list keeps the dimension as it is.
+     */
+    void restrictTo(const std::string &benchmarks_list,
+                    const std::string &kinds_list);
 };
 
 /** Split on @p sep, trimming surrounding whitespace of every item. */

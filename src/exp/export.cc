@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -417,6 +418,26 @@ writeJson(std::ostream &os, const ResultSet &results)
         os << "}}";
     }
     os << "\n  ]\n}\n";
+}
+
+void
+exportTo(const std::string &path,
+         const std::function<void(std::ostream &)> &write)
+{
+    if (path == "-") {
+        // Through C stdio, like the tables printed before it; <iostream>
+        // would add static stream set-up to every program's start-up.
+        std::ostringstream os;
+        write(os);
+        const std::string text = os.str();
+        std::fwrite(text.data(), 1, text.size(), stdout);
+        return;
+    }
+    std::ofstream os(path);
+    if (!os)
+        fuse_fatal("cannot open '%s' for writing", path.c_str());
+    write(os);
+    std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
 std::vector<FlatRun>

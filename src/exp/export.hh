@@ -9,6 +9,7 @@
 #ifndef FUSE_EXP_EXPORT_HH
 #define FUSE_EXP_EXPORT_HH
 
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -26,7 +27,7 @@ struct MetricField
     const char *name;
     double (*get)(const Metrics &);
     /** Inverse of get: writes the field back into a Metrics record (the
-     *  merge CLI rebuilds full Metrics from shard exports with it). */
+     *  result store rebuilds full Metrics from its records with it). */
     void (*set)(Metrics &, double);
 };
 
@@ -42,6 +43,14 @@ void writeCsv(std::ostream &os, const ResultSet &results);
 /** Write @p results as a JSON document with an array of run objects. */
 void writeJson(std::ostream &os, const ResultSet &results);
 
+/**
+ * The CLIs' output-file convention: run @p write on stdout when @p path
+ * is "-", else on a fresh file at @p path (fatal when it cannot be
+ * opened) and note "wrote PATH" on stderr.
+ */
+void exportTo(const std::string &path,
+              const std::function<void(std::ostream &)> &write);
+
 /** A parsed export row, independent of the on-disk format. */
 struct FlatRun
 {
@@ -54,8 +63,8 @@ struct FlatRun
 /**
  * Rebuild a Metrics record from a parsed export row. Every field that
  * writeCsv/writeJson emit is restored exactly (doubles round-trip through
- * %.17g bit-for-bit), so tables rendered from merged shard exports match
- * the unsharded run byte for byte. Unknown value names are fatal.
+ * %.17g bit-for-bit), so a campaign served from stored records exports
+ * byte for byte like a fresh sweep. Unknown value names are fatal.
  */
 Metrics metricsFromFlat(const FlatRun &run);
 

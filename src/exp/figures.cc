@@ -825,9 +825,7 @@ runFigureMain(const std::string &figure, int argc, char **argv)
         } else {
             spec.benchmarks.clear();
             for (int i = 1; i < argc; ++i)
-                for (const auto &name :
-                     ExperimentSpec::resolveBenchmarks(argv[i]))
-                    spec.benchmarks.push_back(name);
+                ExperimentSpec::appendBenchmarks(spec.benchmarks, argv[i]);
         }
     }
 

@@ -126,7 +126,7 @@ ResultSet::merge(const ResultSet &other)
             continue;
         if (runs_[i].valid)
             fuse_fatal("ResultSet::merge: cell %zu (%s, %s) filled by "
-                       "both sides — overlapping shards?",
+                       "both sides",
                        i, other.runs_[i].benchmark.c_str(),
                        toString(other.runs_[i].kind));
         runs_[i] = other.runs_[i];

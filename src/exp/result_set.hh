@@ -103,10 +103,10 @@ class ResultSet
         std::size_t variant = 0, std::size_t baseline_variant = 0) const;
 
     /**
-     * Copy @p other's completed cells into this grid (campaign-scale
-     * fan-out: each `fuse_sweep --shard i/N` invocation fills a disjoint
-     * subset; merging the N shards reproduces the unsharded run cell for
-     * cell). Fatal if the grids differ or a cell is filled twice.
+     * Copy @p other's completed cells into this grid. Fatal if the grids
+     * differ or a cell is filled by both sides, so merging disjoint
+     * pieces (CampaignService's cached and freshly simulated points) is
+     * also the proof that they were disjoint.
      */
     void merge(const ResultSet &other);
 

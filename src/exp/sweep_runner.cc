@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/log.hh"
 #include "prof/prof.hh"
 #include "sim/simulator.hh"
 
@@ -75,12 +74,8 @@ SweepRunner::SweepRunner(unsigned threads)
 {}
 
 ResultSet
-SweepRunner::run(const ExperimentSpec &spec, std::size_t shard_index,
-                 std::size_t shard_count) const
+SweepRunner::run(const ExperimentSpec &spec) const
 {
-    if (shard_count == 0 || shard_index >= shard_count)
-        fuse_fatal("invalid shard %zu/%zu (want 0 <= index < count)",
-                   shard_index, shard_count);
     FUSE_PROF_SCOPE(exp, sweep);
 
     ResultSet results(spec.name, spec.benchmarks, spec.kinds,
@@ -93,20 +88,13 @@ SweepRunner::run(const ExperimentSpec &spec, std::size_t shard_index,
     for (std::size_t v = 0; v < spec.variantCount(); ++v)
         configs.push_back(spec.configFor(v));
 
-    // This shard's slice of the flat grid (everything when unsharded).
-    std::vector<std::size_t> cells;
-    for (std::size_t i = shard_index; i < results.size();
-         i += shard_count)
-        cells.push_back(i);
-
-    const std::size_t total = cells.size();
+    const std::size_t total = results.size();
     std::size_t done = 0; // Guarded by progress_mutex.
     std::mutex progress_mutex;
 
     const std::size_t kinds = spec.kinds.size();
     const std::size_t variants = spec.variantCount();
-    parallelFor(total, threads_, [&](std::size_t cell) {
-        const std::size_t i = cells[cell];
+    parallelFor(total, threads_, [&](std::size_t i) {
         const std::size_t k = i % kinds;
         const std::size_t v = (i / kinds) % variants;
         const std::size_t b = i / (kinds * variants);

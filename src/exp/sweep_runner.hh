@@ -52,17 +52,8 @@ class SweepRunner
         std::function<void(const RunResult &, std::size_t, std::size_t)>;
     void onProgress(Progress progress) { progress_ = std::move(progress); }
 
-    /**
-     * Execute the grid and return the dense, ordered results. With
-     * @p shard_count > 1 only the cells whose flat index is congruent to
-     * @p shard_index mod @p shard_count are simulated (round-robin, so
-     * every shard gets a balanced benchmark mix); the other cells stay
-     * invalid. Because every run is seeded purely from the spec, merging
-     * the N shard ResultSets reproduces the unsharded sweep cell for
-     * cell (see ResultSet::merge).
-     */
-    ResultSet run(const ExperimentSpec &spec, std::size_t shard_index = 0,
-                  std::size_t shard_count = 1) const;
+    /** Execute the grid and return the dense, ordered results. */
+    ResultSet run(const ExperimentSpec &spec) const;
 
   private:
     unsigned threads_ = 1;

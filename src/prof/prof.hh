@@ -22,7 +22,7 @@
  * mutex, so the sweep thread pool can profile concurrently. Per-run
  * attribution (snapshot + diffSince around one run) is only meaningful
  * when nothing else increments in between — i.e. single-threaded, the
- * fuse_bench --profile regime. Scoped timers attribute exclusive wall
+ * default fuse_bench regime. Scoped timers attribute exclusive wall
  * time per thread: a timer's children are the timers nested inside it
  * on the same thread.
  */

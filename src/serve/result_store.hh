@@ -9,9 +9,9 @@
  * record sits a ".point" sidecar holding the canonical text that hashed
  * to the key, so a store can be audited by hand.
  *
- * Records hold the exported metric set (metricFields()); like shard
- * merges, non-exported diagnostics (predOutcomes, profile) are not
- * preserved across the cache.
+ * Records hold the exported metric set (metricFields()); non-exported
+ * diagnostics (predOutcomes, profile) are not preserved across the
+ * cache.
  */
 
 #ifndef FUSE_SERVE_RESULT_STORE_HH

@@ -17,7 +17,7 @@ Simulator::run(const BenchmarkSpec &benchmark, L1DKind kind) const
     FUSE_PROF_SCOPE(sim, run);
     // Per-run attribution: the difference of global snapshots around the
     // run. Exact only when this thread is the only one simulating (the
-    // fuse_bench --profile regime); a multi-threaded sweep's per-run
+    // default fuse_bench regime); a multi-threaded sweep's per-run
     // diffs overlap but the global totals stay exact.
     prof::ProfileReport before;
     if (prof::enabled())

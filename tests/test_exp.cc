@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -214,6 +215,52 @@ TEST(ExperimentSpec, RejectsMalformedLine)
             "spec line 3: l1d.sramAreaFraction expects a number");
 }
 
+// A repeated workload or kind would be simulated twice and weigh twice
+// in every mean, so every path that builds the grid from text refuses it.
+TEST(ExperimentSpec, RejectsRepeatedBenchmarksAndKinds)
+{
+    for (const char *text :
+         {"benchmarks: ATAX, ATAX\n", "benchmarks: motivation, ATAX\n",
+          "benchmarks: ATAX\nbenchmarks: BICG, ATAX\n"})
+        EXPECT_EXIT({ ExperimentSpec::parse(text); },
+                    ::testing::ExitedWithCode(1),
+                    "workload 'ATAX' is listed twice");
+    for (const char *text :
+         {"kinds: Dy-FUSE, Dy-FUSE\n", "kinds: Dy-FUSE, all\n"})
+        EXPECT_EXIT({ ExperimentSpec::parse(text); },
+                    ::testing::ExitedWithCode(1),
+                    "L1D kind 'Dy-FUSE' is listed twice");
+}
+
+TEST(ExperimentSpec, RestrictToRejectsRepeats)
+{
+    ExperimentSpec spec;
+    spec.benchmarks = {"ATAX", "GESUM", "MVT"};
+    spec.kinds = {L1DKind::L1Sram, L1DKind::DyFuse};
+    spec.restrictTo("BICG, ATAX", "Dy-FUSE");
+    EXPECT_EQ(spec.benchmarks, (std::vector<std::string>{"BICG", "ATAX"}));
+    EXPECT_EQ(spec.kinds, std::vector<L1DKind>{L1DKind::DyFuse});
+    spec.restrictTo("", "");
+    EXPECT_EQ(spec.benchmarks.size(), 2u);
+
+    EXPECT_EXIT({ spec.restrictTo("ATAX,ATAX,BICG", ""); },
+                ::testing::ExitedWithCode(1),
+                "workload 'ATAX' is listed twice");
+    EXPECT_EXIT({ spec.restrictTo("motivation,ATAX", ""); },
+                ::testing::ExitedWithCode(1),
+                "workload 'ATAX' is listed twice");
+    EXPECT_EXIT({ spec.restrictTo("", "L1-SRAM,Dy-FUSE,L1-SRAM"); },
+                ::testing::ExitedWithCode(1),
+                "L1D kind 'L1-SRAM' is listed twice");
+
+    // The bench binaries' positional workload arguments too.
+    char prog[] = "fig13_ipc", atax[] = "ATAX";
+    char *argv[] = {prog, atax, atax, nullptr};
+    EXPECT_EXIT({ runFigureMain("fig13", 3, argv); },
+                ::testing::ExitedWithCode(1),
+                "workload 'ATAX' is listed twice");
+}
+
 TEST(L1DKindNames, RoundTrip)
 {
     for (L1DKind kind : allL1DKinds()) {
@@ -311,63 +358,47 @@ TEST(SweepRunner, ReportsProgressForEveryRun)
     EXPECT_EQ(calls, spec.runCount());
 }
 
-// ------------------------------------------------------- sharding
+// ---------------------------------------------------------- merge
 
-TEST(SweepRunner, ShardAndMergeEqualsUnshardedRun)
+/** @p results with every cell whose flat index is not congruent to
+ *  @p parity mod 2 marked unfilled: a partial grid. */
+ResultSet
+everyOtherCell(ResultSet results, std::size_t parity)
 {
-    const ExperimentSpec spec = smallSpec();
-    const ResultSet full = SweepRunner(1).run(spec);
+    for (std::size_t i = 0; i < results.size(); ++i)
+        if (i % 2 != parity)
+            results.at(i).valid = false;
+    return results;
+}
 
-    constexpr std::size_t kShards = 3;
-    ResultSet merged = SweepRunner(2).run(spec, 0, kShards);
-    for (std::size_t s = 1; s < kShards; ++s)
-        merged.merge(SweepRunner(2).run(spec, s, kShards));
-
+TEST(ResultSet, MergeOfDisjointPiecesRestoresTheGrid)
+{
+    const ResultSet full = SweepRunner(2).run(smallSpec());
+    ResultSet merged = everyOtherCell(full, 0);
+    merged.merge(everyOtherCell(full, 1));
     expectIdenticalResults(full, merged);
-}
-
-TEST(SweepRunner, ShardsPartitionTheGrid)
-{
-    const ExperimentSpec spec = smallSpec();
-    constexpr std::size_t kShards = 3;
-    std::vector<int> owners(spec.runCount(), 0);
-    for (std::size_t s = 0; s < kShards; ++s) {
-        const ResultSet shard = SweepRunner(1).run(spec, s, kShards);
-        ASSERT_EQ(shard.size(), spec.runCount());
-        for (std::size_t i = 0; i < shard.size(); ++i)
-            owners[i] += shard.at(i).valid ? 1 : 0;
-    }
-    // Every cell simulated exactly once across the shards.
-    for (std::size_t i = 0; i < owners.size(); ++i)
-        EXPECT_EQ(owners[i], 1) << "cell " << i;
-}
-
-TEST(SweepRunner, RejectsInvalidShard)
-{
-    const ExperimentSpec spec = smallSpec();
-    EXPECT_EXIT({ SweepRunner(1).run(spec, 3, 3); },
-                ::testing::ExitedWithCode(1), "invalid shard");
-    EXPECT_EXIT({ SweepRunner(1).run(spec, 0, 0); },
-                ::testing::ExitedWithCode(1), "invalid shard");
 }
 
 TEST(ResultSet, MergeRejectsMismatchedGridsAndOverlap)
 {
     const ExperimentSpec spec = smallSpec();
-    const ResultSet shard0 = SweepRunner(1).run(spec, 0, 2);
+    const ResultSet full = SweepRunner(1).run(spec);
+    const ResultSet even = everyOtherCell(full, 0);
 
-    ExperimentSpec other = spec;
-    other.name = "different";
-    const ResultSet alien = SweepRunner(1).run(other, 0, 2);
+    // The other cells, but in the grid of another experiment.
+    ResultSet alien("different", spec.benchmarks, spec.kinds,
+                    spec.variantLabels());
+    for (std::size_t i = 1; i < full.size(); i += 2)
+        alien.at(i) = full.at(i);
 
     {
-        ResultSet merged = shard0;
+        ResultSet merged = even;
         EXPECT_EXIT({ merged.merge(alien); },
                     ::testing::ExitedWithCode(1), "incompatible grids");
     }
     {
-        ResultSet merged = shard0;
-        EXPECT_EXIT({ merged.merge(shard0); },
+        ResultSet merged = even;
+        EXPECT_EXIT({ merged.merge(even); },
                     ::testing::ExitedWithCode(1), "filled by both sides");
     }
 }
@@ -470,6 +501,25 @@ TEST(Figures, RegistryCoversEveryBenchBinary)
             spec.configFor(v);
     }
     EXPECT_EQ(findFigure("not-a-figure"), nullptr);
+}
+
+// The repeat checks on spec text and CLI lists must never trip on a
+// registered figure, and a figure must not weigh a workload twice.
+TEST(Figures, SpecsListEachBenchmarkAndKindOnce)
+{
+    for (const auto &fig : figures()) {
+        const ExperimentSpec spec = fig.makeSpec();
+        std::vector<std::string> benchmarks = spec.benchmarks;
+        std::sort(benchmarks.begin(), benchmarks.end());
+        EXPECT_EQ(std::adjacent_find(benchmarks.begin(), benchmarks.end()),
+                  benchmarks.end())
+            << fig.name;
+        std::vector<L1DKind> kinds = spec.kinds;
+        std::sort(kinds.begin(), kinds.end());
+        EXPECT_EQ(std::adjacent_find(kinds.begin(), kinds.end()),
+                  kinds.end())
+            << fig.name;
+    }
 }
 
 TEST(Figures, Fig13SpecMatchesThePaperGrid)

@@ -500,8 +500,11 @@ TEST(Campaign, ServedGridMatchesADirectSweepByteForByte)
     // The real integration property behind the CI round trip: a served
     // campaign (real simulations, then real cache reads) exports the
     // same bytes a plain SweepRunner sweep does, with the cold points
-    // simulated serially or across worker threads. Tiny grid: test-scale
-    // preset at a 2000-instruction budget.
+    // simulated serially or across worker threads. The first full pass
+    // stitches cached ATAX cells and fresh BICG cells through
+    // ResultSet::merge, so a partial grid merged back must equal the
+    // full run. Tiny grid: test-scale preset at a 2000-instruction
+    // budget.
     const ExperimentSpec spec = goldenSpec();
     SweepRunner runner(1);
     std::ostringstream direct;
@@ -513,13 +516,17 @@ TEST(Campaign, ServedGridMatchesADirectSweepByteForByte)
         ServeOptions options = pinnedOptions(tmp.path + "/store");
         options.workers = workers;
         CampaignService service(options);
-        std::ostringstream cold, warm;
-        writeJson(cold, service.serve(spec));
+        ExperimentSpec atax = spec;
+        atax.benchmarks = {"ATAX"};
+        service.serve(atax);
+        std::ostringstream mixed, warm;
+        writeJson(mixed, service.serve(spec));
+        EXPECT_EQ(service.stats().hits, 2u);
         writeJson(warm, service.serve(spec));
-        EXPECT_EQ(service.stats().hits, 4u);
+        EXPECT_EQ(service.stats().hits, 6u);
         EXPECT_EQ(service.stats().simulations, 4u);
 
-        EXPECT_EQ(cold.str(), direct.str());
+        EXPECT_EQ(mixed.str(), direct.str());
         EXPECT_EQ(warm.str(), direct.str());
     }
 }

@@ -1,28 +1,24 @@
 #!/usr/bin/env python3
-"""Compare a fresh ``fuse_bench --smoke`` run against the committed baseline.
+"""Compare a fresh CI report's exact counts against the committed baseline.
 
-Usage: compare_bench.py BASELINE_JSON FRESH_SMOKE_JSON
+Usage: compare_bench.py BASELINE_JSON FRESH_JSON
 
-Reads the committed ``BENCH_sim_core.json`` (whose ``smoke_baseline``
-section records the same-container ``--smoke`` sweep of the commit that
-last touched the perf baseline) and the smoke JSON just produced by CI,
-and compares ``runs_per_sec``. CI runners are not the baseline container
-and drift run to run, so a deviation beyond the +/-25% band emits a
-GitHub Actions ``::warning::`` annotation rather than failing the job —
-the point is that a silent core-simulator regression surfaces in the
-workflow log on the very push that introduced it.
+Reads the committed ``BENCH_sim_core.json`` and a JSON report just
+produced by CI. Only deterministic counts are compared; host time is
+measured by ``perfbench/`` in CPU seconds, not here.
 
-When the baseline carries a ``profile_baseline`` section and the fresh
-run was produced by a ``FUSE_PROF=ON`` build with ``--profile``, the
-tracked per-component consult counts are compared too. Smoke counts are
-deterministic (single thread, fixed FUSE_FAST budgets), so any drift
-means the push changed how often a hot path runs — which is frequently
-intentional (that is the point of an optimisation) but should never be
-silent. Drift therefore warns, and the fix is to recommit the baseline
-with the new counts, stating the delta in the commit message.
+A ``fuse_bench --smoke`` report (its ``bench`` field is ``"sim_core"``)
+from a ``FUSE_PROF=ON`` build is compared against the baseline's
+``profile_baseline`` section: every tracked per-component consult count
+must match. Smoke counts are deterministic (single thread, fixed
+FUSE_FAST budgets), so any drift means the push changed how often a hot
+path runs — which is frequently intentional (that is the point of an
+optimisation) but should never be silent. Drift therefore warns, and the
+fix is to recommit the baseline with the new counts, stating the delta
+in the commit message.
 
-A fresh file produced by ``fuse_serve --stats-out`` (its ``bench`` field
-is ``"serve"``) is compared against the baseline's ``serve_baseline``
+A file produced by ``fuse_serve --stats-out`` (its ``bench`` field is
+``"serve"``) is compared against the baseline's ``serve_baseline``
 section instead: the CI serve round trip is deterministic (fixed
 campaigns against a store built in the same job), so its cache
 hit/miss/simulation/retry/failure counters must match the committed
@@ -30,30 +26,42 @@ values exactly. Drift warns like the profile counts — the fix is to
 recommit ``serve_baseline`` with the new counters and say why.
 
 Exit status is 0 unless a file is unreadable or structurally wrong
-(those are CI configuration bugs and should fail loudly).
+(those are CI configuration bugs and should fail loudly): a sim_core
+report that is not a ``--smoke`` run or carries no enabled ``profile``
+section (a ``FUSE_PROF=OFF`` build), or a baseline without
+``profile_baseline``, has nothing comparable in it.
 
 ``compare_bench.py --self-test`` runs the comparator against synthetic
 in-memory reports (count drift, sites missing from the baseline, sites
-missing from the fresh run) and exits non-zero on any wrong verdict; CI
-invokes it before trusting the real comparison.
+missing from the fresh run, structurally wrong reports) and exits
+non-zero on any wrong verdict; CI invokes it before trusting the real
+comparison.
 """
 
 import json
 import sys
 
-BAND = 0.25
-
 
 def compare_profile(baseline, fresh):
     """Warn on tracked consult-count drift; return the number of drifts.
 
-    Silently a no-op when the baseline has no profile_baseline section or
-    the fresh run has no enabled profile (the default FUSE_PROF=OFF leg).
+    Exits (SystemExit) when either side has nothing to compare: a
+    baseline without profile_baseline, a fresh report that is not a
+    --smoke run, or one without an enabled profile (a FUSE_PROF=OFF
+    build).
     """
     base_section = baseline.get("profile_baseline")
+    if not base_section:
+        sys.exit("baseline: no profile_baseline section — commit one to "
+                 "BENCH_sim_core.json (fuse_bench --smoke on a "
+                 "FUSE_PROF=ON build)")
+    if not fresh.get("smoke"):
+        sys.exit("fresh report: not a --smoke run; smoke counts are only "
+                 "comparable to smoke counts")
     profile = fresh.get("profile")
-    if not base_section or not profile or not profile.get("enabled"):
-        return 0
+    if not profile or not profile.get("enabled"):
+        sys.exit("fresh report: no enabled profile section — run "
+                 "fuse_bench from a FUSE_PROF=ON build")
 
     tracked = base_section["counts"]
     # Timer-only sites carry count 0; a tracked counter falling to zero
@@ -75,7 +83,7 @@ def compare_profile(baseline, fresh):
               f"{got} vs committed {want} ({delta:+d}); smoke counts are "
               "deterministic, so this push changed how often the path "
               "runs — if intended, recommit profile_baseline in "
-              "BENCH_sim_core.json (fuse_bench --profile --smoke on a "
+              "BENCH_sim_core.json (fuse_bench --smoke on a "
               "FUSE_PROF=ON build)")
     # The baseline historically only drove the loop above, so a site
     # that existed in the fresh report but not in profile_baseline was
@@ -94,8 +102,8 @@ def compare_profile(baseline, fresh):
                   f"{key}: {fresh_counts[key]} consults in the fresh run "
                   "but no committed count, although its component is "
                   "tracked — recommit profile_baseline in "
-                  "BENCH_sim_core.json (fuse_bench --profile --smoke on "
-                  "a FUSE_PROF=ON build)")
+                  "BENCH_sim_core.json (fuse_bench --smoke on a "
+                  "FUSE_PROF=ON build)")
         else:
             new_instrumentation.append(key)
     if new_instrumentation:
@@ -157,9 +165,16 @@ def self_test():
     wrong verdict. Keeps CI from trusting a broken comparator."""
 
     def fresh_with(sites):
-        return {"profile": {"enabled": True, "report": {"sites": [
-            {"component": c, "name": n, "count": count}
-            for (c, n, count) in sites]}}}
+        return {"smoke": True, "profile": {"enabled": True, "report": {
+            "sites": [{"component": c, "name": n, "count": count}
+                      for (c, n, count) in sites]}}}
+
+    def verdict(compare, base, fresh):
+        """Warning count, or "exit" when the input is rejected."""
+        try:
+            return compare(base, fresh)
+        except SystemExit:
+            return "exit"
 
     baseline = {"profile_baseline": {"counts": {
         "workload/instructions": 100,
@@ -167,12 +182,12 @@ def self_test():
         "l1d/access": 40,
         "mshr/filter_skips": 30,
     }}}
+    exact = [("workload", "instructions", 100),
+             ("workload", "batch_generate", 25), ("l1d", "access", 40),
+             ("mshr", "filter_skips", 30)]
     checks = [
         # (label, fresh sites, expected number of warnings)
-        ("exact match is silent",
-         [("workload", "instructions", 100),
-          ("workload", "batch_generate", 25), ("l1d", "access", 40),
-          ("mshr", "filter_skips", 30)], 0),
+        ("exact match is silent", exact, 0),
         ("count drift warns",
          [("workload", "instructions", 101),
           ("workload", "batch_generate", 25), ("l1d", "access", 40),
@@ -198,14 +213,25 @@ def self_test():
          [("workload", "instructions", 100),
           ("workload", "batch_generate", 25), ("l1d", "access", 40),
           ("mshr", "filter_skips", 29)], 1),
-        ("disabled profile is a no-op",
-         None, 0),
     ]
+    # (label, baseline, fresh report); each must be rejected.
+    structural = [
+        ("disabled profile (FUSE_PROF=OFF build) is an error", baseline,
+         {"smoke": True, "profile": {"enabled": False}}),
+        ("report without a profile section is an error", baseline,
+         {"smoke": True}),
+        ("non-smoke report is an error", baseline,
+         dict(fresh_with(exact), smoke=False)),
+        ("baseline without profile_baseline is an error", {},
+         fresh_with(exact)),
+    ]
+    checks = [(label, baseline, fresh_with(sites), want)
+              for label, sites, want in checks]
+    checks += [(label, base, fresh, "exit")
+               for label, base, fresh in structural]
     failures = 0
-    for label, sites, want in checks:
-        fresh = {"profile": {"enabled": False}} if sites is None \
-            else fresh_with(sites)
-        got = compare_profile(baseline, fresh)
+    for label, base, fresh, want in checks:
+        got = verdict(compare_profile, base, fresh)
         status = "ok" if got == want else "FAIL"
         if got != want:
             failures += 1
@@ -234,7 +260,7 @@ def self_test():
          {"serve": dict(warm)}, 0),
     ]
     for label, base, fresh, want in serve_checks:
-        got = compare_serve(base, fresh)
+        got = verdict(compare_serve, base, fresh)
         status = "ok" if got == want else "FAIL"
         if got != want:
             failures += 1
@@ -251,7 +277,7 @@ def main(argv):
     if len(argv) == 2 and argv[1] == "--self-test":
         return self_test()
     if len(argv) != 3:
-        sys.exit(f"usage: {argv[0]} BASELINE_JSON FRESH_SMOKE_JSON "
+        sys.exit(f"usage: {argv[0]} BASELINE_JSON FRESH_JSON "
                  f"| {argv[0]} --self-test")
 
     with open(argv[1]) as f:
@@ -260,42 +286,14 @@ def main(argv):
         fresh = json.load(f)
 
     if fresh.get("bench") == "serve":
-        # fuse_serve --stats-out: counters only, no speed band.
         if "serve" not in fresh:
             sys.exit(f"{argv[2]}: serve stats without a serve section")
         compare_serve(baseline, fresh)
         return 0
 
-    base_section = baseline.get("smoke_baseline")
-    if not base_section:
-        sys.exit(f"{argv[1]}: no smoke_baseline section — regenerate the "
-                 "committed baseline (see README 'Performance')")
-    base = float(base_section["runs_per_sec"])
-    if not fresh.get("smoke"):
-        sys.exit(f"{argv[2]}: not a --smoke run; smoke numbers are only "
-                 "comparable to smoke numbers")
-    current = float(fresh["sweep"]["runs_per_sec"])
-    if base <= 0:
-        sys.exit(f"{argv[1]}: non-positive baseline runs_per_sec {base}")
-
-    ratio = current / base
-    line = (f"bench smoke: {current:.2f} runs/s vs committed baseline "
-            f"{base:.2f} runs/s ({ratio:.2f}x)")
-    if fresh.get("profile", {}).get("enabled"):
-        # A FUSE_PROF=ON build pays for its counters; its wall time is
-        # not comparable to the unprofiled baseline. The profile leg is
-        # judged on counts below; the release leg owns the speed band.
-        print(f"{line} — speed band skipped (profiled build)")
-    elif abs(ratio - 1.0) > BAND:
-        direction = "slower" if ratio < 1.0 else "faster"
-        print(f"::warning title=fuse_bench smoke outside ±{BAND:.0%} "
-              f"band::{line} — {direction} than the committed baseline; "
-              "if this push touched the simulation core, re-run "
-              "fuse_bench on the baseline container and recommit "
-              "BENCH_sim_core.json")
-    else:
-        print(f"{line} — within the ±{BAND:.0%} band")
-
+    if fresh.get("bench") != "sim_core":
+        sys.exit(f"{argv[2]}: neither a fuse_bench (sim_core) report nor "
+                 "fuse_serve stats")
     compare_profile(baseline, fresh)
     return 0
 

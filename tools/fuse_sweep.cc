@@ -11,7 +11,6 @@
  *   fuse_sweep --figure fig13 [--threads N] [--json out.json]
  *   fuse_sweep --spec sweep.spec [--csv out.csv] [--quiet]
  *   fuse_sweep --spec - < sweep.spec
- *   fuse_sweep --merge shard1.json shard2.json ... [--json merged.json]
  *
  * Spec files (see exp/experiment.hh for the full key set):
  *   name: my_sweep
@@ -22,14 +21,9 @@
  *   variant: half | l1d.sramAreaFraction=0.5
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
+#include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/log.hh"
 #include "exp/export.hh"
@@ -53,14 +47,6 @@ usage()
         "  --kinds LIST      override the L1D kinds (spec mode)\n"
         "  --threads N       sweep worker threads, N >= 1 (default:\n"
         "                    FUSE_THREADS or all cores)\n"
-        "  --shard I/N       run only grid cells I (1-based) of N: fan a\n"
-        "                    campaign across machines, export each shard,\n"
-        "                    merge offline (cells are seeded from the\n"
-        "                    spec, so shard-and-merge == one big run)\n"
-        "  --merge F1 F2 ..  merge N shard JSON exports back into the\n"
-        "                    full grid and re-render the figure tables\n"
-        "                    (use --json/--csv to re-export; the merged\n"
-        "                    output is identical to an unsharded run)\n"
         "  --json FILE       export results as JSON ('-' = stdout)\n"
         "  --csv FILE        export results as CSV ('-' = stdout)\n"
         "  --profile-out F   write the sweep's exact profiling\n"
@@ -88,8 +74,6 @@ renderGeneric(const fuse::ResultSet &results)
     report.header({"workload", "kind", "variant", "IPC", "miss rate",
                    "APKI", "L1D energy (uJ)", "total energy (uJ)"});
     for (const auto &run : results.runs()) {
-        if (!run.valid)
-            continue;
         report.row({run.benchmark, toString(run.kind), run.variantLabel,
                     fuse::fmt(run.metrics.ipc, 3),
                     fuse::fmt(run.metrics.l1dMissRate, 3),
@@ -98,150 +82,6 @@ renderGeneric(const fuse::ResultSet &results)
                     fuse::fmt(run.metrics.energy.total() / 1000.0, 1)});
     }
     report.print();
-}
-
-/** One parsed shard export. */
-struct ShardFile
-{
-    std::string path;
-    std::string experiment;
-    std::vector<fuse::FlatRun> runs;
-};
-
-/**
- * Rebuild the full result grid from N shard exports. The grid shape comes
- * from the figure registry (the shards' experiment name) or from
- * @p spec_grid when the shards came from a --spec sweep; either way it is
- * restricted to the benchmarks/kinds/variants actually present across the
- * shards, so exports from --benchmarks-restricted campaigns merge too.
- * Every cell is placed through ResultSet::merge, which is fatal on
- * overlapping shards, and the rebuilt Metrics round-trip the export
- * format exactly — the merged tables and re-exports are byte-identical
- * to an unsharded run.
- */
-fuse::ResultSet
-mergeShards(const std::vector<std::string> &paths,
-            const fuse::ExperimentSpec *spec_grid)
-{
-    if (paths.empty())
-        fuse_fatal("--merge needs at least one shard export");
-
-    std::vector<ShardFile> shards;
-    for (const auto &path : paths) {
-        std::ifstream is(path);
-        if (!is)
-            fuse_fatal("cannot read shard export '%s'", path.c_str());
-        ShardFile shard;
-        shard.path = path;
-        shard.runs = fuse::readJson(is, &shard.experiment);
-        shards.push_back(std::move(shard));
-    }
-    const std::string &name = shards.front().experiment;
-    for (const auto &shard : shards) {
-        if (shard.experiment != name)
-            fuse_fatal("shard '%s' is from experiment '%s', expected '%s'",
-                       shard.path.c_str(), shard.experiment.c_str(),
-                       name.c_str());
-    }
-
-    fuse::ExperimentSpec spec;
-    if (const fuse::Figure *fig = fuse::findFigure(name)) {
-        spec = fig->makeSpec();
-    } else if (spec_grid) {
-        spec = *spec_grid;
-    } else {
-        fuse_fatal("experiment '%s' is not a figure; pass the original "
-                   "--spec file alongside --merge to define the grid",
-                   name.c_str());
-    }
-
-    // Restrict the spec grid to what the shards actually contain,
-    // preserving the spec's order (the union over all shards of a
-    // sharded campaign is exactly the grid the campaign swept).
-    const auto contains = [&shards](auto pred) {
-        for (const auto &shard : shards)
-            for (const auto &run : shard.runs)
-                if (pred(run))
-                    return true;
-        return false;
-    };
-    std::vector<std::string> benchmarks;
-    for (const auto &b : spec.benchmarks) {
-        if (contains([&](const fuse::FlatRun &r) { return r.benchmark == b; }))
-            benchmarks.push_back(b);
-    }
-    std::vector<fuse::L1DKind> kinds;
-    for (fuse::L1DKind k : spec.kinds) {
-        const char *kn = toString(k);
-        if (contains([&](const fuse::FlatRun &r) { return r.kind == kn; }))
-            kinds.push_back(k);
-    }
-    std::vector<std::string> labels;
-    for (const auto &label : spec.variantLabels()) {
-        if (contains([&](const fuse::FlatRun &r) {
-                return r.variantLabel == label;
-            }))
-            labels.push_back(label);
-    }
-    if (benchmarks.empty() || kinds.empty() || labels.empty())
-        fuse_fatal("shard exports share no cells with the '%s' grid",
-                   name.c_str());
-
-    fuse::ResultSet merged(name, benchmarks, kinds, labels);
-    for (const auto &shard : shards) {
-        fuse::ResultSet piece(name, benchmarks, kinds, labels);
-        for (const auto &run : shard.runs) {
-            const auto b = std::find(benchmarks.begin(), benchmarks.end(),
-                                     run.benchmark);
-            const auto v = std::find(labels.begin(), labels.end(),
-                                     run.variantLabel);
-            fuse::L1DKind kind;
-            if (!fuse::l1dKindFromString(run.kind, kind))
-                fuse_fatal("shard '%s' has unknown L1D kind '%s'",
-                           shard.path.c_str(), run.kind.c_str());
-            const auto k = std::find(kinds.begin(), kinds.end(), kind);
-            if (b == benchmarks.end() || k == kinds.end()
-                || v == labels.end())
-                fuse_fatal("shard '%s' row (%s, %s, '%s') is outside the "
-                           "'%s' grid", shard.path.c_str(),
-                           run.benchmark.c_str(), run.kind.c_str(),
-                           run.variantLabel.c_str(), name.c_str());
-            fuse::RunResult &cell = piece.at(piece.index(
-                static_cast<std::size_t>(b - benchmarks.begin()),
-                static_cast<std::size_t>(v - labels.begin()),
-                static_cast<std::size_t>(k - kinds.begin())));
-            cell.benchmark = run.benchmark;
-            cell.kind = kind;
-            cell.variant =
-                static_cast<std::size_t>(v - labels.begin());
-            cell.variantLabel = run.variantLabel;
-            cell.metrics = fuse::metricsFromFlat(run);
-            cell.valid = true;
-        }
-        merged.merge(piece);
-    }
-
-    std::size_t filled = 0;
-    for (const auto &run : merged.runs())
-        filled += run.valid;
-    std::fprintf(stderr, "%s: merged %zu shards into %zu/%zu cells\n",
-                 name.c_str(), shards.size(), filled, merged.size());
-    return merged;
-}
-
-void
-exportTo(const std::string &path, const fuse::ResultSet &results,
-         void (*write)(std::ostream &, const fuse::ResultSet &))
-{
-    if (path == "-") {
-        write(std::cout, results);
-        return;
-    }
-    std::ofstream os(path);
-    if (!os)
-        fuse_fatal("cannot open '%s' for writing", path.c_str());
-    write(os, results);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
 } // namespace
@@ -257,11 +97,7 @@ main(int argc, char **argv)
     std::string csv_path;
     std::string profile_path;
     unsigned threads = 0;
-    std::size_t shard_index = 0;
-    std::size_t shard_count = 1;
     bool quiet = false;
-    bool merge = false;
-    std::vector<std::string> merge_paths;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -287,18 +123,6 @@ main(int argc, char **argv)
             kinds = value();
         } else if (arg == "--threads") {
             threads = fuse::parseThreadCount("--threads", value().c_str());
-        } else if (arg == "--shard") {
-            const std::string text = value();
-            char *end = nullptr;
-            const unsigned long i = std::strtoul(text.c_str(), &end, 10);
-            unsigned long n = 0;
-            if (end != text.c_str() && *end == '/')
-                n = std::strtoul(end + 1, &end, 10);
-            if (*end != '\0' || n == 0 || i == 0 || i > n)
-                fuse_fatal("--shard wants I/N with 1 <= I <= N, got '%s'",
-                           text.c_str());
-            shard_index = static_cast<std::size_t>(i - 1);
-            shard_count = static_cast<std::size_t>(n);
         } else if (arg == "--json") {
             json_path = value();
         } else if (arg == "--csv") {
@@ -307,53 +131,13 @@ main(int argc, char **argv)
             profile_path = value();
         } else if (arg == "--quiet") {
             quiet = true;
-        } else if (arg == "--merge") {
-            merge = true;
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
-        } else if (merge && !arg.empty() && arg[0] != '-') {
-            merge_paths.push_back(arg);
         } else {
             usage();
             fuse_fatal("unknown option '%s'", arg.c_str());
         }
-    }
-
-    if (merge) {
-        // Merge mode simulates nothing: it stitches shard exports back
-        // into the full grid and renders/exports like an unsharded run.
-        if (!figure.empty() || shard_count > 1)
-            fuse_fatal("--merge takes shard files, not --figure/--shard "
-                       "(the figure comes from the shards themselves)");
-        const fuse::ExperimentSpec *grid = nullptr;
-        fuse::ExperimentSpec parsed_spec;
-        if (!spec_path.empty()) {
-            std::ifstream is(spec_path);
-            if (!is)
-                fuse_fatal("cannot read spec file '%s'",
-                           spec_path.c_str());
-            std::stringstream buffer;
-            buffer << is.rdbuf();
-            parsed_spec = fuse::ExperimentSpec::parse(buffer.str());
-            grid = &parsed_spec;
-        }
-        fuse::ResultSet results = mergeShards(merge_paths, grid);
-        if (!quiet) {
-            // Renderers that fan out extra work (the trace studies) honor
-            // the same --threads the sweep path would.
-            const unsigned render_threads =
-                threads ? threads : fuse::defaultThreadCount();
-            if (const fuse::Figure *fig = fuse::findFigure(results.name()))
-                fig->render(results, render_threads);
-            else
-                renderGeneric(results);
-        }
-        if (!json_path.empty())
-            exportTo(json_path, results, fuse::writeJson);
-        if (!csv_path.empty())
-            exportTo(csv_path, results, fuse::writeCsv);
-        return 0;
     }
 
     if (figure.empty() == spec_path.empty()) {
@@ -375,49 +159,14 @@ main(int argc, char **argv)
                        figure.c_str());
         spec = fig->makeSpec();
     } else {
-        std::string text;
-        if (spec_path == "-") {
-            std::stringstream buffer;
-            buffer << std::cin.rdbuf();
-            text = buffer.str();
-        } else {
-            std::ifstream is(spec_path);
-            if (!is)
-                fuse_fatal("cannot read spec file '%s'",
-                           spec_path.c_str());
-            std::stringstream buffer;
-            buffer << is.rdbuf();
-            text = buffer.str();
-        }
-        spec = fuse::ExperimentSpec::parse(text);
+        spec = fuse::ExperimentSpec::parseFile(spec_path);
     }
-
-    if (!benchmarks.empty()) {
-        spec.benchmarks.clear();
-        for (const auto &word : fuse::splitList(benchmarks))
-            for (const auto &name :
-                 fuse::ExperimentSpec::resolveBenchmarks(word))
-                spec.benchmarks.push_back(name);
-    }
-    if (!kinds.empty()) {
-        spec.kinds.clear();
-        for (const auto &word : fuse::splitList(kinds))
-            for (fuse::L1DKind k :
-                 fuse::ExperimentSpec::resolveKinds(word))
-                spec.kinds.push_back(k);
-    }
+    spec.restrictTo(benchmarks, kinds);
 
     fuse::SweepRunner runner(threads);
-    if (spec.runCount() > 0) {
-        if (shard_count > 1)
-            std::fprintf(stderr, "%s: shard %zu/%zu of %zu runs on %u "
-                         "threads\n", spec.name.c_str(), shard_index + 1,
-                         shard_count, spec.runCount(), runner.threads());
-        else
-            std::fprintf(stderr, "%s: %zu runs on %u threads\n",
-                         spec.name.c_str(), spec.runCount(),
-                         runner.threads());
-    }
+    if (spec.runCount() > 0)
+        std::fprintf(stderr, "%s: %zu runs on %u threads\n",
+                     spec.name.c_str(), spec.runCount(), runner.threads());
     runner.onProgress([](const fuse::RunResult &run, std::size_t done,
                          std::size_t total) {
         std::fprintf(stderr, "  [%zu/%zu] %s %s %s\n", done, total,
@@ -430,41 +179,29 @@ main(int argc, char **argv)
                      "warning: --profile-out on a FUSE_PROF=OFF build — "
                      "counts will be zero (rebuild with -DFUSE_PROF=ON)\n");
     const fuse::prof::ProfileReport prof_before = fuse::prof::snapshot();
-    fuse::ResultSet results = runner.run(spec, shard_index, shard_count);
+    fuse::ResultSet results = runner.run(spec);
 
     if (!profile_path.empty()) {
         const fuse::prof::ProfileReport report =
             fuse::prof::snapshot().diffSince(prof_before);
-        std::size_t valid = 0;
-        for (const auto &run : results.runs())
-            valid += run.valid;
-        if (profile_path == "-") {
-            fuse::writeProfileJson(std::cout, spec.name, report, valid);
-        } else {
-            std::ofstream os(profile_path);
-            if (!os)
-                fuse_fatal("cannot open '%s' for writing",
-                           profile_path.c_str());
-            fuse::writeProfileJson(os, spec.name, report, valid);
-            std::fprintf(stderr, "wrote %s\n", profile_path.c_str());
-        }
+        fuse::exportTo(profile_path, [&](std::ostream &os) {
+            fuse::writeProfileJson(os, spec.name, report, results.size());
+        });
     }
 
     if (!quiet) {
-        if (fig && shard_count > 1)
-            // Figure renderers assume the full grid; a shard only has
-            // its slice, so hold the tables and let the exports carry it.
-            std::fprintf(stderr, "shard %zu/%zu: skipping the figure "
-                         "tables (merge the shard exports first)\n",
-                         shard_index + 1, shard_count);
-        else if (fig)
+        if (fig)
             fig->render(results, runner.threads());
         else
             renderGeneric(results);
     }
     if (!json_path.empty())
-        exportTo(json_path, results, fuse::writeJson);
+        fuse::exportTo(json_path, [&](std::ostream &os) {
+            fuse::writeJson(os, results);
+        });
     if (!csv_path.empty())
-        exportTo(csv_path, results, fuse::writeCsv);
+        fuse::exportTo(csv_path, [&](std::ostream &os) {
+            fuse::writeCsv(os, results);
+        });
     return 0;
 }
